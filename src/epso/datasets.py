@@ -6,8 +6,9 @@ for high-dimensional selection experiments.
 from __future__ import annotations
 
 import csv
+import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,17 @@ def _is_number(cell: str) -> bool:
         return False
 
 
+def _csv_rows(path: Path):
+    """The file's non-blank rows, read one at a time."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            for row in csv.reader(fh):
+                if any(cell.strip() for cell in row):
+                    yield row
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
 def load_csv(path, label_column: str = "last") -> Dataset:
     """Load a comma-delimited UTF-8 file into a Dataset.
 
@@ -69,17 +81,16 @@ def load_csv(path, label_column: str = "last") -> Dataset:
     Rows containing empty cells are dropped (with a warning giving the count);
     non-numeric feature cells are an error naming the row and column.
     Class identifiers map to dense integers in first-occurrence order.
+    The file is parsed row by row, so only the numbers are held in memory.
     """
     path = Path(path)
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if not rows:
+    rows = _csv_rows(path)
+    first = next(rows, None)
+    if first is None:
         raise DataError(f"{path} contains no data")
+    first = [c.strip() for c in first]
 
-    width = len(rows[0])
+    width = len(first)
     by_name = label_column not in ("first", "last")
 
     if label_column == "first":
@@ -87,45 +98,41 @@ def load_csv(path, label_column: str = "last") -> Dataset:
     elif label_column == "last":
         label_idx = width - 1
     else:
-        header_row = [c.strip() for c in rows[0]]
-        if label_column not in header_row:
+        if label_column not in first:
             raise DataError(f"label column {label_column!r} not found in header")
-        label_idx = header_row.index(label_column)
+        label_idx = first.index(label_column)
 
-    first = [c.strip() for c in rows[0]]
     has_header = by_name or any(
         not _is_number(c) for i, c in enumerate(first) if i != label_idx and c
     )
     if has_header:
         names = tuple(c for i, c in enumerate(first) if i != label_idx)
-        data_rows = rows[1:]
         first_data_line = 2
     else:
         names = tuple(f"f{i}" for i in range(width - 1))
-        data_rows = rows
+        rows = itertools.chain([first], rows)
         first_data_line = 1
 
-    features: list[list[float]] = []
+    features: list[np.ndarray] = []
     raw_labels: list[str] = []
     dropped = 0
-    for offset, row in enumerate(data_rows):
+    for offset, row in enumerate(rows):
         line = first_data_line + offset
         if len(row) != width:
             raise DataError(f"row {line}: expected {width} cells, got {len(row)}")
         cells = [c.strip() for c in row]
-        if any(c == "" for c in cells):
+        if "" in cells:
             dropped += 1
             continue
-        vec = []
-        for i, c in enumerate(cells):
-            if i == label_idx:
-                continue
-            if not _is_number(c):
-                col = names[i if i < label_idx else i - 1] if has_header else f"f{i}"
-                raise DataError(f"row {line}, column {col!r}: cannot parse {c!r} as a number")
-            vec.append(float(c))
-        features.append(vec)
-        raw_labels.append(cells[label_idx])
+        raw_labels.append(cells.pop(label_idx))
+        try:
+            features.append(np.array(list(map(float, cells))))
+        except ValueError:
+            j = next(j for j, c in enumerate(cells) if not _is_number(c))
+            col = names[j] if has_header else f"f{j if j < label_idx else j + 1}"
+            raise DataError(
+                f"row {line}, column {col!r}: cannot parse {cells[j]!r} as a number"
+            ) from None
 
     if dropped:
         warnings.warn(f"{path.name}: dropped {dropped} row(s) with missing cells")

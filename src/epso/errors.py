@@ -26,3 +26,5 @@ class EvaluationError(RuntimeError):
 
 class UnknownFunctionError(KeyError):
     """A benchmark function name is not in the registry."""
+
+    __str__ = Exception.__str__  # KeyError's own would print the message in quotes

@@ -53,7 +53,6 @@ class WrapperConfig:
 class FeatureSelectionResult:
     mask: FeatureMask
     accuracy: float
-    accuracy_std: float
     wall_time: float
     selected_names: tuple[str, ...]
     run: RunResult | None = None
@@ -63,15 +62,6 @@ def binarize(position, threshold: float) -> FeatureMask:
     """Select feature f iff position_f > threshold (strictly)."""
     position = np.asarray(position, dtype=float)
     return FeatureMask(position > threshold)
-
-
-def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of a and of b."""
-    aa = np.sum(a * a, axis=1)[:, None]
-    bb = np.sum(b * b, axis=1)[None, :]
-    d = aa + bb - 2.0 * (a @ b.T)
-    np.maximum(d, 0.0, out=d)
-    return d
 
 
 def knn_classify(train_features, train_labels, query, k: int = 1) -> int:
@@ -101,61 +91,54 @@ def knn_classify(train_features, train_labels, query, k: int = 1) -> int:
     return int(y[order[0]])
 
 
-def _fold_accuracy_1nn(x: np.ndarray, y: np.ndarray, folds: list[np.ndarray]) -> float:
-    n = x.shape[0]
-    accs = []
-    for fold in folds:
-        train = np.setdiff1d(np.arange(n), fold)
-        d = _pairwise_sq_dists(x[fold], x[train])
-        pred = y[train][np.argmin(d, axis=1)]
-        accs.append(float(np.mean(pred == y[fold])))
-    return float(np.mean(accs))
+def _knn_accuracy(x: np.ndarray, y: np.ndarray, fold_id: np.ndarray, k: int) -> float:
+    """Mean per-fold kNN accuracy, every fold scored from one n x n distance matrix.
+
+    Same-fold pairs (the diagonal among them) are set to +inf, so each row
+    only finds neighbors in the other folds. Neighbors follow knn_classify's
+    rule: distance ties go to the lower row index, a vote tie to the nearest
+    neighbor of a tied class.
+    """
+    sq = np.sum(x * x, axis=1)
+    dist = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    np.maximum(dist, 0.0, out=dist)
+    dist[fold_id[:, None] == fold_id[None, :]] = np.inf
+    if k == 1:
+        pred = y[np.argmin(dist, axis=1)]
+    else:
+        order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        near = y[order]
+        # a row with fewer than k training rows gets same-fold ones last: no vote
+        valid = fold_id[order] != fold_id[:, None]
+        votes = ((near[:, :, None] == np.arange(y.max() + 1)) & valid[:, :, None]).sum(axis=1)
+        rows = np.arange(y.size)[:, None]
+        tied = (votes == votes.max(axis=1, keepdims=True))[rows, near]
+        pred = near[rows[:, 0], np.argmax(tied, axis=1)]  # nearest of a tied class
+    hits = np.bincount(fold_id, weights=pred == y)
+    return float(np.mean(hits / np.bincount(fold_id)))
 
 
-def _loo_accuracy_1nn(x: np.ndarray, y: np.ndarray) -> float:
-    d = _pairwise_sq_dists(x, x)
-    np.fill_diagonal(d, np.inf)
-    pred = y[np.argmin(d, axis=1)]
-    return float(np.mean(pred == y))
+def _fold_ids(d: Dataset, cfg: WrapperConfig, seed: int) -> np.ndarray:
+    """Fold index of every row; leave-one-out gives each row its own fold."""
+    if cfg.protocol == "loo":
+        return np.arange(d.n_samples)
+    fold_id = np.empty(d.n_samples, dtype=np.intp)
+    for f, fold in enumerate(stratified_folds(d, cfg.k_folds, seed)):
+        fold_id[fold] = f
+    return fold_id
 
 
 def _masked_accuracy(
-    d: Dataset,
-    mask: FeatureMask,
-    cfg: WrapperConfig,
-    folds: list[np.ndarray] | None,
+    d: Dataset, mask: FeatureMask, cfg: WrapperConfig, fold_id: np.ndarray
 ) -> float:
     if mask.count == 0:
         return 0.0  # empty masks score worst instead of erroring
-    x = d.features[:, mask.selected]
-    y = d.labels
-    if cfg.protocol == "loo":
-        if cfg.k_neighbors == 1:
-            return _loo_accuracy_1nn(x, y)
-        hits = 0
-        rest = np.arange(d.n_samples)
-        for i in range(d.n_samples):
-            others = rest != i
-            hits += knn_classify(x[others], y[others], x[i], cfg.k_neighbors) == y[i]
-        return hits / d.n_samples
-    assert folds is not None
-    if cfg.k_neighbors == 1:
-        return _fold_accuracy_1nn(x, y, folds)
-    accs = []
-    for fold in folds:
-        train = np.setdiff1d(np.arange(d.n_samples), fold)
-        hits = sum(
-            knn_classify(x[train], y[train], x[i], cfg.k_neighbors) == y[i]
-            for i in fold
-        )
-        accs.append(hits / fold.size)
-    return float(np.mean(accs))
+    return _knn_accuracy(d.features[:, mask.selected], d.labels, fold_id, cfg.k_neighbors)
 
 
 def evaluate_mask(d: Dataset, mask: FeatureMask, cfg: WrapperConfig, seed: int = 0) -> float:
     """Protocol accuracy of the mask's feature subset; empty masks score 0."""
-    folds = stratified_folds(d, cfg.k_folds, seed) if cfg.protocol == "kfold" else None
-    return _masked_accuracy(d, mask, cfg, folds)
+    return _masked_accuracy(d, mask, cfg, _fold_ids(d, cfg, seed))
 
 
 def wrapper_objective(d: Dataset, cfg: WrapperConfig, seed: int = 0) -> Objective:
@@ -164,11 +147,11 @@ def wrapper_objective(d: Dataset, cfg: WrapperConfig, seed: int = 0) -> Objectiv
     Fold assignments are frozen here, once, so the objective is a pure
     function of the position for the whole run.
     """
-    folds = stratified_folds(d, cfg.k_folds, seed) if cfg.protocol == "kfold" else None
+    fold_id = _fold_ids(d, cfg, seed)
 
     def objective(position) -> float:
         mask = binarize(position, cfg.threshold)
-        return 1.0 - _masked_accuracy(d, mask, cfg, folds)
+        return 1.0 - _masked_accuracy(d, mask, cfg, fold_id)
 
     return objective
 
@@ -200,7 +183,6 @@ def select_features(
     return FeatureSelectionResult(
         mask=mask,
         accuracy=1.0 - run.best_fitness,
-        accuracy_std=0.0,  # across-runs spread is filled in by the harness
         wall_time=time.perf_counter() - start,
         selected_names=names,
         run=run,

@@ -11,8 +11,8 @@ exploratory group whose particles mutate a scheduled number of coordinates
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 

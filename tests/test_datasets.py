@@ -50,6 +50,23 @@ def test_unparseable_cell_names_row_and_column(tmp_path):
     assert "y" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "text, label_column, message",
+    [
+        ("x,y,label\n1,2,A\n1,oops,B\n", "last",
+         "row 3, column 'y': cannot parse 'oops' as a number"),
+        ("A,1,2\nB,3,zz\n", "first", "row 2, column 'f2': cannot parse 'zz' as a number"),
+        ("a,label,b\n1,A,2\n3,B, x \n", "label",
+         "row 3, column 'b': cannot parse 'x' as a number"),
+        ("1,2,A\n3,4,B\nq,4,B\n", "last", "row 3, column 'f0': cannot parse 'q' as a number"),
+    ],
+)
+def test_unparseable_cell_message_is_exact(tmp_path, text, label_column, message):
+    with pytest.raises(DataError) as exc:
+        load_csv(write(tmp_path, text), label_column)
+    assert str(exc.value) == message
+
+
 def test_single_class_rejected(tmp_path):
     with pytest.raises(DataError, match="single class"):
         load_csv(write(tmp_path, "1,2,A\n3,4,A\n"))

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from epso import (
     ConfigError,
@@ -138,6 +141,62 @@ def test_kfold_accuracy_matches_per_fold_brute_force():
         )
         accs.append(hits / fold.size)
     assert got == pytest.approx(float(np.mean(accs)))
+
+
+def knn_recount(d, mask, cfg, seed):
+    """Mean per-fold accuracy, recounted query by query with knn_classify."""
+    if mask.count == 0:
+        return 0.0
+    x = d.features[:, mask.selected]
+    y = d.labels
+    if cfg.protocol == "loo":
+        folds = [np.array([i]) for i in range(d.n_samples)]
+    else:
+        folds = stratified_folds(d, cfg.k_folds, seed)
+    accs = []
+    for fold in folds:
+        train = np.setdiff1d(np.arange(d.n_samples), fold)
+        hits = sum(
+            knn_classify(x[train], y[train], x[i], cfg.k_neighbors) == y[i] for i in fold
+        )
+        accs.append(hits / fold.size)
+    return float(np.mean(accs))
+
+
+@st.composite
+def tie_heavy_cases(draw):
+    """Small integer features (so distances are exact and often tied), a
+    random mask, and a protocol/k pair."""
+    n_classes = draw(st.integers(2, 4))
+    n = draw(st.integers(2 * n_classes, 24))
+    f = draw(st.integers(1, 6))
+    x = draw(arrays(np.int64, (n, f), elements=st.integers(0, 3))).astype(float)
+    labels = np.array(draw(st.permutations(list(np.arange(n) % n_classes))))
+    d = Dataset(x, labels, tuple(f"f{i}" for i in range(f)), "ties")
+    mask = FeatureMask(draw(arrays(np.bool_, f)))
+    protocol = draw(st.sampled_from(["loo", "kfold"]))
+    k_folds = draw(st.integers(2, n // n_classes))  # never more than the smallest class
+    cfg = WrapperConfig(
+        k_neighbors=draw(st.sampled_from([1, 2, 3, 5])), protocol=protocol, k_folds=k_folds
+    )
+    return d, mask, cfg, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_cases())
+def test_kernel_matches_knn_recount_with_ties(case):
+    d, mask, cfg, seed = case
+    assert evaluate_mask(d, mask, cfg, seed=seed) == knn_recount(d, mask, cfg, seed)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_kernel_matches_knn_recount_on_float_kfold(k):
+    d = synth_dataset(60, 200, 5, class_count=3, seed=8)
+    cfg = WrapperConfig(k_neighbors=k, protocol="kfold", k_folds=5)
+    rng = np.random.default_rng(k)
+    for density in (0.05, 0.3, 0.9):
+        mask = FeatureMask(rng.random(200) < density)
+        assert evaluate_mask(d, mask, cfg, seed=4) == knn_recount(d, mask, cfg, 4)
 
 
 def test_empty_mask_scores_zero():

@@ -9,6 +9,8 @@ from epso import (
     ConfigError,
     ContractError,
     ExperimentConfig,
+    UnknownFunctionError,
+    available_functions,
     build_config,
     emit_report,
     emit_trace,
@@ -280,3 +282,11 @@ def test_cli_error_paths(tmp_path, capsys):
     assert main(["select", "--data", str(tmp_path / "absent.csv")]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_cli_unknown_function_message_is_unquoted(capsys):
+    assert issubclass(UnknownFunctionError, KeyError)
+    assert main(["bench", "--function", "nope", "--runs", "1"]) == 2
+    err = capsys.readouterr().err
+    names = ", ".join(available_functions())
+    assert err == f"error: unknown function 'nope'; available: {names}\n"
