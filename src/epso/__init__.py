@@ -59,7 +59,6 @@ from .harness import (
 )
 from .swarm import (
     EpsoConfig,
-    Particle,
     RandomSource,
     RunResult,
     SwarmState,

@@ -34,7 +34,7 @@ def elliptic(z) -> float:
     if z.size == 1:
         return float(z[0] ** 2)
     weights = 1e6 ** (np.arange(z.size) / (z.size - 1))
-    return float(np.sum(weights * z * z))
+    return float((weights * z * z).sum())
 
 
 def cigar(z) -> float:
@@ -42,15 +42,15 @@ def cigar(z) -> float:
     z = np.asarray(z, dtype=float)
     if z.size < 2:
         raise ContractError("cigar needs at least 2 dimensions")
-    return float(z[0] ** 2 + 1e6 * np.sum(z[1:] ** 2))
+    return float(z[0] ** 2 + 1e6 * (z[1:] ** 2).sum())
 
 
 def ackley(z) -> float:
     z = np.asarray(z, dtype=float)
     if z.size == 0:
         raise ContractError("ackley needs a non-empty vector")
-    term1 = -20.0 * np.exp(-0.2 * np.sqrt(np.mean(z * z)))
-    term2 = -np.exp(np.mean(np.cos(2.0 * np.pi * z)))
+    term1 = -20.0 * np.exp(-0.2 * np.sqrt((z * z).mean()))
+    term2 = -np.exp(np.cos(2.0 * np.pi * z).mean())
     return float(term1 + term2 + 20.0 + np.e)
 
 
@@ -58,7 +58,7 @@ def rastrigin(z) -> float:
     z = np.asarray(z, dtype=float)
     if z.size == 0:
         raise ContractError("rastrigin needs a non-empty vector")
-    return float(np.sum(z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0))
+    return float((z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0).sum())
 
 
 def schwefel(z) -> float:
@@ -68,7 +68,7 @@ def schwefel(z) -> float:
         raise ContractError("schwefel needs a non-empty vector")
     if np.any(np.abs(z) > 500.0):
         raise ContractError("schwefel is defined only for components in [-500, 500]")
-    return float(418.9829 * z.size - np.sum(z * np.sin(np.sqrt(np.abs(z)))))
+    return float(418.9829 * z.size - (z * np.sin(np.sqrt(np.abs(z)))).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +322,7 @@ def registry(name: str, dimension: int, seed: int) -> tuple[ObjectiveSpec, Objec
             s = _random_shift(rng, bounds)
             comps.append(
                 CompositionComponent(
-                    objective=(lambda x, b=base, sh=s: b(np.asarray(x, dtype=float) - sh)),
+                    objective=(lambda x, b=base, sh=s: b(x - sh)),  # x: composition's array
                     sigma=sigma,
                     bias=cbias,
                     shift=s,

@@ -63,12 +63,13 @@ def _is_number(cell: str) -> bool:
 
 
 def _csv_rows(path: Path):
-    """The file's non-blank rows, read one at a time."""
+    """The file's non-blank rows, read one at a time, each with its 1-based
+    record number in the file (blank records count)."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.reader(fh):
+            for line, row in enumerate(csv.reader(fh), start=1):
                 if any(cell.strip() for cell in row):
-                    yield row
+                    yield line, row
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
@@ -85,10 +86,10 @@ def load_csv(path, label_column: str = "last") -> Dataset:
     """
     path = Path(path)
     rows = _csv_rows(path)
-    first = next(rows, None)
-    if first is None:
+    first_record = next(rows, None)
+    if first_record is None:
         raise DataError(f"{path} contains no data")
-    first = [c.strip() for c in first]
+    first = [c.strip() for c in first_record[1]]
 
     width = len(first)
     by_name = label_column not in ("first", "last")
@@ -107,17 +108,14 @@ def load_csv(path, label_column: str = "last") -> Dataset:
     )
     if has_header:
         names = tuple(c for i, c in enumerate(first) if i != label_idx)
-        first_data_line = 2
     else:
         names = tuple(f"f{i}" for i in range(width - 1))
-        rows = itertools.chain([first], rows)
-        first_data_line = 1
+        rows = itertools.chain([first_record], rows)
 
     features: list[np.ndarray] = []
     raw_labels: list[str] = []
     dropped = 0
-    for offset, row in enumerate(rows):
-        line = first_data_line + offset
+    for line, row in rows:
         if len(row) != width:
             raise DataError(f"row {line}: expected {width} cells, got {len(row)}")
         cells = [c.strip() for c in row]

@@ -169,10 +169,6 @@ class ExperimentReport:
     traces: dict[str, list[RunResult]]
 
 
-def _config_dict(cfg: ExperimentConfig) -> dict:
-    return asdict(cfg)
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute cfg.runs independent seeded runs per algorithm.
 
@@ -245,7 +241,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     return ExperimentReport(
         task=cfg.task,
-        config=_config_dict(cfg),
+        config=asdict(cfg),
         rows=rows,
         runs=run_records,
         traces=traces,

@@ -1,17 +1,22 @@
 """Swarm core: standard PSO updates, two-group scheduling, and the seeded run loop.
 
 The optimizer maintains a population of particles over a box-bounded search
-space. In "pso" mode every particle follows the classic inertia + cognitive +
-social velocity rule. In "epso" mode the population is re-partitioned each
-iteration into a shrinking exploitative group (standard updates) and a growing
-exploratory group whose particles mutate a scheduled number of coordinates
-("genes") via a randomized recombination of gbest and pbest.
+space, held as arrays whose row i is particle i. In "pso" mode every particle
+follows the classic inertia + cognitive + social velocity rule. In "epso" mode
+the population is re-partitioned each iteration into a shrinking exploitative
+group (standard updates) and a growing exploratory group whose particles
+mutate a scheduled number of coordinates ("genes") via a randomized
+recombination of gbest and pbest.
+
+Each step is one array update over all rows. The random numbers still come
+row by row from each particle's own stream, and the objective is still called
+once per particle, with a 1-D row, in index order.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -90,19 +95,22 @@ class EpsoConfig:
 
 
 @dataclass
-class Particle:
-    position: np.ndarray
-    velocity: np.ndarray
-    pbest_position: np.ndarray
-    pbest_fitness: float
-
-
-@dataclass
 class SwarmState:
-    particles: list[Particle]
-    gbest_position: np.ndarray
+    """The whole swarm; row i of every population-by-dimension array is particle i."""
+
+    positions: np.ndarray  # (P, D)
+    velocities: np.ndarray  # (P, D)
+    pbest_positions: np.ndarray  # (P, D)
+    pbest_fitness: np.ndarray  # (P,)
+    gbest_position: np.ndarray  # (D,)
     gbest_fitness: float
     iteration: int = 0
+    # step's work space, reused every iteration so large swarms make no new
+    # arrays: the r1 | r2 draws and the two work arrays of the standard update
+    scratch: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = np.zeros((len(self.positions), 4 * self.positions.shape[1]))
 
 
 @dataclass
@@ -145,42 +153,43 @@ def inertia_weight(iteration: int, config: EpsoConfig) -> float:
     return config.inertia_start + frac * (config.inertia_end - config.inertia_start)
 
 
-def _clamp_velocity(v: np.ndarray, bounds: np.ndarray, fraction: float) -> np.ndarray:
-    limit = fraction * (bounds[:, 1] - bounds[:, 0])
-    return np.minimum(np.maximum(v, -limit), limit)
-
-
 def update_velocity_standard(
-    particle: Particle,
-    gbest_position: np.ndarray,
-    w: float,
-    c1: float,
-    c2: float,
-    rng,
-    bounds: np.ndarray,
-    velocity_clamp_fraction: float = 0.2,
+    x: np.ndarray, v: np.ndarray, pbest: np.ndarray, gbest: np.ndarray, w: float, c1: float,
+    c2: float, r1: np.ndarray, r2: np.ndarray, limit: np.ndarray, out: np.ndarray | None = None,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """v' = w*v + c1*r1*(pbest - x) + c2*r2*(gbest - x), then clamped.
+    """v' = w*v + c1*r1*(pbest - x) + c2*r2*(gbest - x), clamped to [-limit, limit].
 
-    r1 and r2 are drawn per dimension, uniform on [0, 1].
+    x, v, pbest, r1 and r2 share one shape: one particle (D,) or a block of
+    rows (k, D). r1 and r2 are the uniform draws on [0, 1]. The result goes
+    to out when given (out may be v). work is a pair of arrays shaped like x
+    for the two products; with out and work given, no array is allocated.
     """
-    x, v, pb = particle.position, particle.velocity, particle.pbest_position
-    g = np.asarray(gbest_position, dtype=float)
-    if not (x.shape == v.shape == pb.shape == g.shape):
-        raise ContractError("position, velocity, pbest and gbest must share one dimension")
-    r1 = rng.random(x.size)
-    r2 = rng.random(x.size)
-    new_v = w * v + c1 * r1 * (pb - x) + c2 * r2 * (g - x)
-    return _clamp_velocity(new_v, bounds, velocity_clamp_fraction)
+    shape = x.shape
+    if not (v.shape == pbest.shape == r1.shape == r2.shape == shape and gbest.shape == shape[-1:]):
+        raise ContractError("position, velocity, pbest, gbest and draws must share one dimension")
+    scaled, diff = work if work is not None else np.empty((2,) + shape)
+    new = np.multiply(v, w, out=out)
+    for c, r, target in ((c1, r1, pbest), (c2, r2, gbest)):
+        np.multiply(r, c, out=scaled)  # (c*r) * (target - x), in the order of the formula
+        np.subtract(target, x, out=diff)
+        scaled *= diff
+        new += scaled
+    np.maximum(new, -limit, out=new)
+    return np.minimum(new, limit, out=new)
 
 
-def apply_velocity(position: np.ndarray, velocity: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """x' = x + v, clamped back into the search box."""
+def apply_velocity(
+    position: np.ndarray, velocity: np.ndarray, bounds: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """x' = x + v, clamped back into the search box; rows or a single particle."""
     x = np.asarray(position, dtype=float)
     v = np.asarray(velocity, dtype=float)
     if x.shape != v.shape:
         raise ContractError("position and velocity must share one dimension")
-    return np.minimum(np.maximum(x + v, bounds[:, 0]), bounds[:, 1])
+    new = np.add(x, v, out=out)
+    np.maximum(new, bounds[:, 0], out=new)
+    return np.minimum(new, bounds[:, 1], out=new)
 
 
 def group1_size(iteration: int, config: EpsoConfig) -> int:
@@ -215,128 +224,122 @@ def select_mutation_genes(dimension: int, m: int, rng) -> np.ndarray:
 
 
 def update_velocity_extended(
-    particle: Particle,
-    gbest_position: np.ndarray,
-    gene_indices,
-    rng,
-    bounds: np.ndarray,
-    velocity_clamp_fraction: float = 0.2,
+    v: np.ndarray, pbest: np.ndarray, gbest: np.ndarray, genes, alpha: np.ndarray,
+    beta: np.ndarray, limit: np.ndarray,
 ) -> np.ndarray:
-    """Mutate the selected genes: v'_i = alpha*gbest_i + (1 - beta*v_i)*pbest_i.
+    """Mutate the selected genes: v'_j = alpha*gbest_j + (1 - beta*v_j)*pbest_j.
 
-    alpha and beta are fresh per gene, uniform on [-1, 1]; untouched genes keep
-    their previous velocity. The whole vector is then clamped like the
-    standard update.
+    v and pbest are one particle (D,) or a block of rows (k, D); genes, alpha
+    and beta hold each row's gene indices and their draws, uniform on
+    [-1, 1], shaped (m,) or (k, m). Untouched genes keep their velocity. The
+    new velocity is then clamped like the standard update.
     """
-    v = np.asarray(particle.velocity, dtype=float).copy()
-    g = np.asarray(gbest_position, dtype=float)
-    if v.shape != g.shape:
-        raise ContractError("velocity and gbest must share one dimension")
-    idx = np.asarray(list(gene_indices), dtype=np.intp)
-    if idx.size:
-        if idx.min() < 0 or idx.max() >= v.size:
-            raise ContractError("gene index out of range")
-        alpha = rng.uniform(-1.0, 1.0, idx.size)
-        beta = rng.uniform(-1.0, 1.0, idx.size)
-        v[idx] = alpha * g[idx] + (1.0 - beta * particle.velocity[idx]) * particle.pbest_position[idx]
-    return _clamp_velocity(v, bounds, velocity_clamp_fraction)
+    genes = np.asarray(genes, dtype=np.intp)
+    if v.shape != pbest.shape or gbest.shape != v.shape[-1:]:
+        raise ContractError("velocity, pbest and gbest must share one dimension")
+    if genes.size and (genes.min() < 0 or genes.max() >= v.shape[-1]):
+        raise ContractError("gene index out of range")
+    new = v.copy()
+    mutated = alpha * gbest[genes] + (1.0 - beta * np.take_along_axis(v, genes, -1)) * (
+        np.take_along_axis(pbest, genes, -1)
+    )
+    np.put_along_axis(new, genes, mutated, -1)
+    np.maximum(new, -limit, out=new)
+    return np.minimum(new, limit, out=new)
 
 
-def assign_groups(swarm: SwarmState, g1: int) -> tuple[list[int], list[int]]:
-    """Best-pbest particles (ties by index) form group 1; the rest explore."""
-    n = len(swarm.particles)
-    if g1 > n:
+def assign_groups(pbest_fitness: np.ndarray, g1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices, ascending: the g1 best pbests (ties by index) form group 1; the rest explore."""
+    if g1 > len(pbest_fitness):
         raise ContractError("group 1 cannot exceed the population size")
-    order = sorted(range(n), key=lambda i: (swarm.particles[i].pbest_fitness, i))
-    return sorted(order[:g1]), sorted(order[g1:])
+    order = np.argsort(pbest_fitness, kind="stable")
+    return np.sort(order[:g1]), np.sort(order[g1:])
 
 
-def update_bests(particle: Particle, fitness: float, swarm: SwarmState):
-    """Strictly-improving pbest/gbest replacement; non-finite candidates are rejected."""
-    f = float(fitness)
-    if not np.isfinite(f):
-        return particle, swarm
-    if f < particle.pbest_fitness:
-        particle.pbest_position = particle.position.copy()
-        particle.pbest_fitness = f
-    if f < swarm.gbest_fitness:
-        swarm.gbest_position = particle.position.copy()
-        swarm.gbest_fitness = f
-    return particle, swarm
+def update_bests(swarm: SwarmState, fitness: np.ndarray) -> SwarmState:
+    """Strictly-improving pbest/gbest replacement; non-finite values are rejected.
+
+    The gbest goes to the first row holding the smallest finite value, and
+    only if that value is below the current gbest.
+    """
+    finite = np.isfinite(fitness)
+    improved = finite & (fitness < swarm.pbest_fitness)
+    np.copyto(swarm.pbest_positions, swarm.positions, where=improved[:, None])
+    np.copyto(swarm.pbest_fitness, fitness, where=improved)
+    candidates = np.where(finite, fitness, np.inf)
+    best = int(np.argmin(candidates))
+    if candidates[best] < swarm.gbest_fitness:
+        swarm.gbest_position = swarm.positions[best].copy()
+        swarm.gbest_fitness = float(candidates[best])
+    return swarm
 
 
-def _evaluate(objective: Objective, position: np.ndarray, index: int) -> float:
+def _evaluate(objective: Objective, positions: np.ndarray) -> np.ndarray:
+    """One objective call per row, in index order; a failure names its row."""
+    fitness = np.empty(len(positions))
+    i = 0
     try:
-        return float(objective(position))
+        for i, x in enumerate(positions):
+            fitness[i] = float(objective(x))
     except Exception as exc:  # noqa: BLE001 - rewrapped with the particle index
-        raise EvaluationError(index, exc) from exc
+        raise EvaluationError(i, exc) from exc
+    return fitness
 
 
 def init_swarm(config: EpsoConfig, objective: Objective, rng: RandomSource) -> SwarmState:
     """Uniform random positions within bounds, zero velocities, pbest = start."""
-    particles = []
-    for i in range(config.population_size):
-        pos = rng.stream(i).uniform(config.bounds[:, 0], config.bounds[:, 1])
-        fit = _evaluate(objective, pos, i)
-        if not np.isfinite(fit):
-            fit = np.inf
-        particles.append(Particle(pos, np.zeros(config.dimension), pos.copy(), fit))
-    best = min(range(len(particles)), key=lambda i: (particles[i].pbest_fitness, i))
-    return SwarmState(
-        particles=particles,
-        gbest_position=particles[best].pbest_position.copy(),
-        gbest_fitness=particles[best].pbest_fitness,
-        iteration=0,
-    )
+    positions = np.empty((config.population_size, config.dimension))
+    for i, row in enumerate(positions):
+        row[:] = rng.stream(i).uniform(config.bounds[:, 0], config.bounds[:, 1])
+    fitness = _evaluate(objective, positions)
+    fitness[~np.isfinite(fitness)] = np.inf
+    best = int(np.argmin(fitness))
+    return SwarmState(positions, np.zeros_like(positions), positions.copy(), fitness,
+                      positions[best].copy(), float(fitness[best]))
 
 
-def step(
-    swarm: SwarmState,
-    objective: Objective,
-    config: EpsoConfig,
-    rng: RandomSource,
-    mode: str = "epso",
-) -> SwarmState:
+def step(swarm: SwarmState, objective: Objective, config: EpsoConfig, rng: RandomSource,
+         mode: str = "epso") -> SwarmState:
     """Advance the swarm by one iteration (in place; returns the same state).
 
-    Group sizes are recomputed from the pre-step iteration counter. All
-    particles are re-evaluated after the moves; bests are applied afterwards
-    by a single writer, in particle-index order.
+    Group sizes are recomputed from the pre-step iteration counter. Group 1
+    draws r1 then r2 from each row's stream; group 2 draws its genes, then
+    alpha, then beta. All rows move, are re-evaluated, and then update their
+    bests together.
     """
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     if swarm.iteration >= config.max_iterations:
         raise ContractError("swarm already reached max_iterations")
     t = swarm.iteration
-    w = inertia_weight(t, config)
-    g1 = config.population_size if mode == "pso" else group1_size(t, config)
-    group1, group2 = assign_groups(swarm, g1)
+    n, d = swarm.positions.shape
+    limit = config.velocity_limit
+    g1 = n if mode == "pso" else group1_size(t, config)
+    group1, group2 = assign_groups(swarm.pbest_fitness, g1)
 
-    for i in group1:
-        p = swarm.particles[i]
-        p.velocity = update_velocity_standard(
-            p, swarm.gbest_position, w, config.c1, config.c2,
-            rng.stream(i), config.bounds, config.velocity_clamp_fraction,
-        )
-        p.position = apply_velocity(p.position, p.velocity, config.bounds)
-
-    if group2:
+    for i in group1.tolist():  # group-2 rows keep stale draws; their standard result is replaced
+        rng.stream(i).random(out=swarm.scratch[i, :2 * d])  # r1 then r2
+    r1, r2, scaled, diff = (swarm.scratch[:, k * d:(k + 1) * d] for k in range(4))
+    mutated = None
+    if group2.size:  # each stream draws its genes, then alpha, then beta
         m = mutation_gene_count(t, config)
-        for i in group2:
-            p = swarm.particles[i]
-            genes = select_mutation_genes(config.dimension, m, rng.stream(i))
-            p.velocity = update_velocity_extended(
-                p, swarm.gbest_position, genes, rng.stream(i),
-                config.bounds, config.velocity_clamp_fraction,
-            )
-            p.position = apply_velocity(p.position, p.velocity, config.bounds)
+        streams = [rng.stream(i) for i in group2.tolist()]
+        genes = np.array([select_mutation_genes(d, m, s) for s in streams])
+        alpha = np.array([s.uniform(-1.0, 1.0, m) for s in streams])
+        beta = np.array([s.uniform(-1.0, 1.0, m) for s in streams])
+        mutated = update_velocity_extended(swarm.velocities[group2], swarm.pbest_positions[group2],
+                                           swarm.gbest_position, genes, alpha, beta, limit)
 
-    fitnesses = [
-        _evaluate(objective, swarm.particles[i].position, i)
-        for i in range(len(swarm.particles))
-    ]
-    for i, f in enumerate(fitnesses):
-        update_bests(swarm.particles[i], f, swarm)
+    update_velocity_standard(
+        swarm.positions, swarm.velocities, swarm.pbest_positions, swarm.gbest_position,
+        inertia_weight(t, config), config.c1, config.c2, r1, r2, limit,
+        out=swarm.velocities, work=(scaled, diff),
+    )
+    if mutated is not None:
+        swarm.velocities[group2] = mutated
+    apply_velocity(swarm.positions, swarm.velocities, config.bounds, out=swarm.positions)
+
+    update_bests(swarm, _evaluate(objective, swarm.positions))
     swarm.iteration += 1
     return swarm
 

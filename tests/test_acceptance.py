@@ -107,8 +107,7 @@ def test_acceptance_03_monotonicity_all_functions():
                 step(swarm, fn, cfg, rng)
                 assert swarm.gbest_fitness <= prev
                 prev = swarm.gbest_fitness
-                for p in swarm.particles:
-                    assert np.all(p.position >= lo) and np.all(p.position <= hi)
+                assert np.all(swarm.positions >= lo) and np.all(swarm.positions <= hi)
     report("monotonicity: 30 runs x all registry functions, traces and bounds hold")
 
 

@@ -220,3 +220,69 @@ def test_registry_shift_within_central_band():
         lo, hi = spec.bounds[:, 0], spec.bounds[:, 1]
         mid, half = (lo + hi) / 2, 0.4 * (hi - lo)
         assert np.all(spec.optimum >= mid - half) and np.all(spec.optimum <= mid + half)
+
+
+# Values of every registry function at D=10 (registry seed 0), recorded before
+# the base functions switched from np.sum/np.mean to the array methods. Points:
+# three uniform draws from the box, two at the optimum plus a standard-normal
+# offset, and the optimum itself (see registry_points).
+REGISTRY_VALUES_D10 = {
+    'elliptic_rotated': (
+        9919012207.053246, 2283741755.69815, 6511390844.441893,
+        779104.3901929304, 4996294.8872019835, 100.0,
+    ),
+    'cigar_rotated': (
+        51877863024.47753, 56213798355.45624, 66609070972.60609,
+        5525471.251918325, 13909687.194502981, 200.0,
+    ),
+    'ackley_shifted_rotated': (
+        321.7987452538039, 321.7219726629777, 321.8873369994267,
+        304.9291685980639, 305.523725830025, 300.0,
+    ),
+    'rastrigin_shifted_rotated': (
+        101546.47305501312, 24983.509943830453, 45152.078917861494,
+        530.4646004552511, 494.3645471142175, 400.0,
+    ),
+    'schwefel_shifted_rotated': (
+        620.2969349671575, 558.0654448412506, 570.9514841052478,
+        500.0123344801814, 500.02756788563147, 500.00012727837475,
+    ),
+    'hybrid_1': (
+        2856208935.798047, 6146922547.246527, 1970046794.3762248,
+        607977.4570851382, 61910.90718599779, 600.0,
+    ),
+    'hybrid_2': (
+        4047487685.2527213, 1625723185.660674, 3810841173.1282763,
+        452180.57378067, 73911.53157882535, 700.0,
+    ),
+    'hybrid_3': (
+        15095677444.029917, 6758922100.978913, 6802450866.759508,
+        3747.4631107746536, 4087981.5437267222, 800.0,
+    ),
+    'composition_1': (
+        9109188001.098274, 4154882395.117475, 11807735729.56456,
+        6807440.817943516, 10302400.813277477, 900.0,
+    ),
+    'composition_2': (
+        37729272785.35761, 46877492266.67321, 41657178986.29292,
+        42019729.99776173, 64540743.34576646, 1000.0,
+    ),
+    'composition_3': (
+        9346961705.653652, 19036445982.005173, 11888428434.22879,
+        169889693.2813741, 249811228.27972373, 1100.0,
+    ),
+}
+
+
+def registry_points(spec):
+    rng = np.random.default_rng(2024)
+    far = rng.uniform(-100.0, 100.0, (3, 10))
+    near = rng.normal(0.0, 1.0, (2, 10))
+    return list(far) + [spec.optimum + n for n in near] + [spec.optimum]
+
+
+@pytest.mark.parametrize("name", available_functions())
+def test_registry_values_pinned_at_d10(name):
+    spec, fn = registry(name, 10, seed=0)
+    values = tuple(fn(x) for x in registry_points(spec))
+    assert values == REGISTRY_VALUES_D10[name]  # exact, no tolerance

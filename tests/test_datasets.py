@@ -59,11 +59,26 @@ def test_unparseable_cell_names_row_and_column(tmp_path):
         ("a,label,b\n1,A,2\n3,B, x \n", "label",
          "row 3, column 'b': cannot parse 'x' as a number"),
         ("1,2,A\n3,4,B\nq,4,B\n", "last", "row 3, column 'f0': cannot parse 'q' as a number"),
+        ("x,y,l\n1,2,A\n\n\n3,zz,B\n", "last",
+         "row 5, column 'y': cannot parse 'zz' as a number"),
     ],
 )
 def test_unparseable_cell_message_is_exact(tmp_path, text, label_column, message):
     with pytest.raises(DataError) as exc:
         load_csv(write(tmp_path, text), label_column)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1,2,A\n3,4\n", "row 2: expected 3 cells, got 2"),
+        ("\nx,y,l\n1,2,A\n\n3,4\n", "row 5: expected 3 cells, got 2"),
+    ],
+)
+def test_ragged_row_message_counts_blank_lines(tmp_path, text, message):
+    with pytest.raises(DataError) as exc:
+        load_csv(write(tmp_path, text))
     assert str(exc.value) == message
 
 

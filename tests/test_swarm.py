@@ -1,12 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epso import (
     ConfigError,
     ContractError,
     EpsoConfig,
     EvaluationError,
-    Particle,
     RandomSource,
     SwarmState,
     apply_velocity,
@@ -17,11 +20,16 @@ from epso import (
     init_swarm,
     mutation_gene_count,
     optimize,
+    position_bounds,
+    registry,
+    select_features,
     select_mutation_genes,
     step,
     update_bests,
     update_velocity_extended,
     update_velocity_standard,
+    synth_dataset,
+    WrapperConfig,
 )
 
 
@@ -35,17 +43,8 @@ def sphere(x):
     return float(np.sum(np.asarray(x) ** 2))
 
 
-class StubRng:
-    """Returns canned values for random()/uniform() calls, in order."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def random(self, n):
-        return np.full(n, self.values.pop(0))
-
-    def uniform(self, lo, hi, n):
-        return np.full(n, self.values.pop(0))
+def digest(values) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=float).tobytes()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -95,40 +94,59 @@ def test_inertia_endpoints_and_midpoint():
 # velocity / position updates
 # ---------------------------------------------------------------------------
 
+LIMIT = make_config().velocity_limit  # 0.2 * 20 = 4 per dimension
+
+
 def test_standard_velocity_zero_coefficients():
-    p = Particle(np.ones(3), np.ones(3), np.zeros(3), 0.0)
-    cfg = make_config()
-    v = update_velocity_standard(p, np.zeros(3), 0.0, 0.0, 0.0, StubRng([0.3, 0.7]), cfg.bounds)
+    v = update_velocity_standard(np.ones(3), np.ones(3), np.zeros(3), np.zeros(3), 0.0, 0.0, 0.0,
+                                 np.full(3, 0.3), np.full(3, 0.7), LIMIT)
     assert np.array_equal(v, np.zeros(3))
 
 
 def test_standard_velocity_hand_case():
-    # v=0, x=0, pbest=1, gbest=2, w=1, c1=c2=1, r1=r2=1 -> 3 per dimension
-    p = Particle(np.zeros(3), np.zeros(3), np.ones(3), 0.0)
-    cfg = make_config()
-    v = update_velocity_standard(p, np.full(3, 2.0), 1.0, 1.0, 1.0, StubRng([1.0, 1.0]), cfg.bounds)
-    assert np.allclose(v, 3.0)
+    # v=0, x=0, pbest=1, gbest=2, w=1, c1=c2=1, r1=r2=1 -> 3 per dimension, on every row
+    rows = np.zeros((2, 3))
+    v = update_velocity_standard(rows, rows, np.ones((2, 3)), np.full(3, 2.0), 1.0, 1.0, 1.0,
+                                 np.ones((2, 3)), np.ones((2, 3)), LIMIT)
+    assert np.array_equal(v, np.full((2, 3), 3.0))
 
 
 def test_standard_velocity_consensus_keeps_inertia_term():
     x = np.array([1.0, -2.0, 0.5])
-    p = Particle(x.copy(), np.array([0.5, -0.5, 1.0]), x.copy(), 0.0)
-    cfg = make_config()
-    v = update_velocity_standard(p, x.copy(), 0.7, 2.0, 2.0, StubRng([0.3, 0.9]), cfg.bounds)
-    assert np.allclose(v, 0.7 * p.velocity)
+    vel = np.array([0.5, -0.5, 1.0])
+    v = update_velocity_standard(x, vel, x.copy(), x.copy(), 0.7, 2.0, 2.0,
+                                 np.full(3, 0.3), np.full(3, 0.9), LIMIT)
+    assert np.array_equal(v, 0.7 * vel)
 
 
 def test_standard_velocity_is_clamped():
-    p = Particle(np.zeros(3), np.zeros(3), np.full(3, 10.0), 0.0)
-    cfg = make_config()  # clamp = 0.2 * 20 = 4
-    v = update_velocity_standard(p, np.full(3, 10.0), 1.0, 2.0, 2.0, StubRng([1.0, 1.0]), cfg.bounds)
-    assert np.allclose(v, 4.0)
+    v = update_velocity_standard(np.zeros(3), np.zeros(3), np.full(3, 10.0), np.full(3, 10.0),
+                                 1.0, 2.0, 2.0, np.ones(3), np.ones(3), LIMIT)
+    assert np.array_equal(v, np.full(3, 4.0))
 
 
 def test_standard_velocity_dimension_mismatch():
-    p = Particle(np.zeros(3), np.zeros(3), np.zeros(3), 0.0)
+    z = np.zeros(3)
     with pytest.raises(ContractError):
-        update_velocity_standard(p, np.zeros(4), 1.0, 1.0, 1.0, StubRng([1, 1]), make_config().bounds)
+        update_velocity_standard(z, z, z, np.zeros(4), 1.0, 1.0, 1.0, np.ones(3), np.ones(3), LIMIT)
+    with pytest.raises(ContractError):
+        update_velocity_standard(z, z, z, z, 1.0, 1.0, 1.0, np.ones(2), np.ones(3), LIMIT)
+
+
+def test_standard_velocity_block_matches_rows_and_writes_out():
+    rng = np.random.default_rng(3)
+    x, v, pb, r1, r2 = (rng.uniform(-10.0, 10.0, (6, 3)) for _ in range(5))
+    g = rng.uniform(-10.0, 10.0, 3)
+    rows = [update_velocity_standard(x[i], v[i], pb[i], g, 0.7, 2.0, 1.5, r1[i], r2[i], LIMIT)
+            for i in range(6)]
+    block = update_velocity_standard(x, v, pb, g, 0.7, 2.0, 1.5, r1, r2, LIMIT)
+    assert np.array_equal(block, np.stack(rows))  # bit-identical, no tolerance
+    out, work = v.copy(), (np.empty((6, 3)), np.empty((6, 3)))
+    draws = (r1.copy(), r2.copy())
+    moved = update_velocity_standard(x, out, pb, g, 0.7, 2.0, 1.5, r1, r2, LIMIT, out=out, work=work)
+    assert moved is out
+    assert np.array_equal(out, block)
+    assert np.array_equal(r1, draws[0]) and np.array_equal(r2, draws[1])  # the draws are only read
 
 
 def test_apply_velocity_identity_sum_and_clamp():
@@ -136,6 +154,10 @@ def test_apply_velocity_identity_sum_and_clamp():
     assert np.array_equal(apply_velocity(np.zeros(1), np.zeros(1), bounds), np.zeros(1))
     assert np.array_equal(apply_velocity(np.zeros(1), np.ones(1), bounds), np.ones(1))
     assert np.array_equal(apply_velocity(np.array([4.0]), np.array([3.0]), bounds), np.array([5.0]))
+    rows = np.array([[4.0], [-4.0], [0.0]])
+    out = rows.copy()
+    moved = apply_velocity(out, np.array([[3.0], [-3.0], [1.0]]), bounds, out=out)
+    assert moved is out and np.array_equal(out, np.array([[5.0], [-5.0], [1.0]]))
 
 
 def test_apply_velocity_dimension_mismatch():
@@ -212,76 +234,140 @@ def test_select_mutation_genes_reproducible_and_distinct():
 
 def test_extended_velocity_alpha_one_beta_zero():
     # alpha=1, beta=0, pbest=0 -> v'_i = gbest_i
-    p = Particle(np.zeros(3), np.array([0.2, 0.3, 0.4]), np.zeros(3), 0.0)
     g = np.array([1.0, 2.0, 3.0])
-    v = update_velocity_extended(p, g, [0, 1, 2], StubRng([1.0, 0.0]), make_config().bounds)
+    v = update_velocity_extended(np.array([0.2, 0.3, 0.4]), np.zeros(3), g, [0, 1, 2],
+                                 np.ones(3), np.zeros(3), LIMIT)
     assert np.allclose(v, g)
 
 
 def test_extended_velocity_alpha_zero_beta_zero():
     # v'_i = pbest_i
-    p = Particle(np.zeros(3), np.ones(3), np.array([0.5, -0.5, 1.5]), 0.0)
-    v = update_velocity_extended(p, np.zeros(3), [0, 1, 2], StubRng([0.0, 0.0]), make_config().bounds)
-    assert np.allclose(v, p.pbest_position)
+    pbest = np.array([0.5, -0.5, 1.5])
+    v = update_velocity_extended(np.ones(3), pbest, np.zeros(3), [0, 1, 2],
+                                 np.zeros(3), np.zeros(3), LIMIT)
+    assert np.allclose(v, pbest)
 
 
 def test_extended_velocity_untouched_genes_and_empty_set():
-    p = Particle(np.zeros(3), np.array([0.1, 0.2, 0.3]), np.full(3, 2.0), 0.0)
+    vel = np.array([0.1, 0.2, 0.3])
     g = np.full(3, 3.0)
-    wide = make_config(bounds=[-100.0, 100.0]).bounds  # clamp = 40, inactive here
-    v = update_velocity_extended(p, g, [1], StubRng([1.0, 0.0]), wide)
+    wide = make_config(bounds=[-100.0, 100.0]).velocity_limit  # 40, inactive here
+    v = update_velocity_extended(vel, np.full(3, 2.0), g, [1], np.ones(1), np.zeros(1), wide)
     assert v[0] == pytest.approx(0.1) and v[2] == pytest.approx(0.3)
     assert v[1] == pytest.approx(3.0 + 2.0)
-    v2 = update_velocity_extended(p, g, [], StubRng([]), wide)
-    assert np.array_equal(v2, p.velocity)
+    empty = np.empty(0)
+    no_genes = np.empty(0, dtype=int)
+    v2 = update_velocity_extended(vel, np.full(3, 2.0), g, no_genes, empty, empty, wide)
+    assert np.array_equal(v2, vel)
+    assert np.array_equal(vel, [0.1, 0.2, 0.3])  # the input is not modified
 
 
 def test_extended_velocity_index_out_of_range():
-    p = Particle(np.zeros(3), np.zeros(3), np.zeros(3), 0.0)
+    z = np.zeros(3)
     with pytest.raises(ContractError):
-        update_velocity_extended(p, np.zeros(3), [3], StubRng([0.0, 0.0]), make_config().bounds)
+        update_velocity_extended(z, z, z, [3], np.zeros(1), np.zeros(1), LIMIT)
+
+
+def test_extended_velocity_block_matches_rows():
+    rng = np.random.default_rng(4)
+    v, pb = rng.uniform(-5.0, 5.0, (4, 6)), rng.uniform(-5.0, 5.0, (4, 6))
+    g = rng.uniform(-5.0, 5.0, 6)
+    limit = np.full(6, 4.0)
+    genes = np.stack([np.sort(rng.choice(6, 3, replace=False)) for _ in range(4)])
+    alpha, beta = rng.uniform(-1.0, 1.0, (4, 3)), rng.uniform(-1.0, 1.0, (4, 3))
+    rows = [update_velocity_extended(v[i], pb[i], g, genes[i], alpha[i], beta[i], limit)
+            for i in range(4)]
+    block = update_velocity_extended(v, pb, g, genes, alpha, beta, limit)
+    assert np.array_equal(block, np.stack(rows))
+    for i in range(4):  # the hand formula on the mutated genes, the old velocity elsewhere
+        want = v[i].copy()
+        j = genes[i]
+        want[j] = alpha[i] * g[j] + (1.0 - beta[i] * v[i, j]) * pb[i, j]
+        assert np.array_equal(rows[i], np.clip(want, -limit, limit))
 
 
 # ---------------------------------------------------------------------------
 # group assignment and best tracking
 # ---------------------------------------------------------------------------
 
-def swarm_with_fitnesses(fits):
-    particles = [Particle(np.zeros(1), np.zeros(1), np.zeros(1), f) for f in fits]
+def swarm_with_fitnesses(fits, dimension=1):
+    fits = np.array(fits, dtype=float)
+    rows = np.zeros((len(fits), dimension))
     best = int(np.argmin(fits))
-    return SwarmState(particles, np.zeros(1), fits[best])
+    return SwarmState(rows, rows.copy(), rows.copy(), fits, np.zeros(dimension), float(fits[best]))
 
 
 def test_assign_groups_by_fitness_rank():
-    s = swarm_with_fitnesses([3.0, 1.0, 2.0])
-    g1, g2 = assign_groups(s, 2)
-    assert g1 == [1, 2] and g2 == [0]
+    g1, g2 = assign_groups(np.array([3.0, 1.0, 2.0]), 2)
+    assert g1.tolist() == [1, 2] and g2.tolist() == [0]
 
 
 def test_assign_groups_degenerate_splits():
-    s = swarm_with_fitnesses([3.0, 1.0, 2.0])
-    assert assign_groups(s, 3) == ([0, 1, 2], [])
-    assert assign_groups(s, 0) == ([], [0, 1, 2])
+    fits = np.array([3.0, 1.0, 2.0])
+    assert [g.tolist() for g in assign_groups(fits, 3)] == [[0, 1, 2], []]
+    assert [g.tolist() for g in assign_groups(fits, 0)] == [[], [0, 1, 2]]
+    with pytest.raises(ContractError):
+        assign_groups(fits, 4)
 
 
 def test_assign_groups_ties_break_by_index():
-    s = swarm_with_fitnesses([1.0, 1.0, 1.0])
-    g1, g2 = assign_groups(s, 2)
-    assert g1 == [0, 1] and g2 == [2]
+    g1, g2 = assign_groups(np.array([1.0, 1.0, 1.0]), 2)
+    assert g1.tolist() == [0, 1] and g2.tolist() == [2]
+    g1, g2 = assign_groups(np.array([2.0, np.inf, 1.0, 2.0, np.inf]), 3)
+    assert g1.tolist() == [0, 2, 3] and g2.tolist() == [1, 4]
 
 
 def test_update_bests_strict_and_nan_rejected():
     s = swarm_with_fitnesses([5.0, 4.0])
-    p = s.particles[0]
-    update_bests(p, 5.0, s)
-    assert p.pbest_fitness == 5.0
-    update_bests(p, float("nan"), s)
-    assert p.pbest_fitness == 5.0
-    p.position = np.array([0.5])
-    update_bests(p, 3.0, s)
-    assert p.pbest_fitness == 3.0
+    update_bests(s, np.array([5.0, 4.0]))
+    assert s.pbest_fitness.tolist() == [5.0, 4.0] and s.gbest_fitness == 4.0
+    update_bests(s, np.array([np.nan, np.nan]))
+    assert s.pbest_fitness.tolist() == [5.0, 4.0]
+    s.positions[0] = 0.5
+    update_bests(s, np.array([3.0, np.inf]))
+    assert s.pbest_fitness.tolist() == [3.0, 4.0]
+    assert np.array_equal(s.pbest_positions, [[0.5], [0.0]])
     assert s.gbest_fitness == 3.0
     assert np.array_equal(s.gbest_position, np.array([0.5]))
+    s.positions[0] = 7.0  # the bests hold copies, not views of the positions
+    assert s.pbest_positions[0, 0] == 0.5 and s.gbest_position[0] == 0.5
+
+
+def sequential_bests(fits, pbest, gbest_fitness):
+    """The per-particle writer: rows in index order, strict improvement, finite only."""
+    pbest = list(pbest)
+    gbest_row = None
+    for i, f in enumerate(fits):
+        if not np.isfinite(f):
+            continue
+        if f < pbest[i]:
+            pbest[i] = f
+        if f < gbest_fitness:
+            gbest_fitness, gbest_row = f, i
+    return pbest, gbest_fitness, gbest_row
+
+
+_fitness_values = st.sampled_from([0.0, 1.0, 2.0, 3.0, np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_fitness_values, _fitness_values.filter(np.isfinite)),
+                min_size=1, max_size=8),
+       st.sampled_from([1.5, 3.0, np.inf]))
+def test_update_bests_matches_sequential_writer(rows, gbest_fitness):
+    fits = np.array([f for f, _ in rows])
+    pbest = np.array([p for _, p in rows])
+    s = swarm_with_fitnesses(pbest, dimension=2)
+    s.gbest_fitness = gbest_fitness
+    s.positions[:] = np.arange(len(rows))[:, None]  # row i sits at (i, i)
+    want_pbest, want_gbest, want_row = sequential_bests(fits, pbest, gbest_fitness)
+    update_bests(s, fits)
+    assert s.pbest_fitness.tolist() == want_pbest
+    assert s.gbest_fitness == want_gbest
+    if want_row is not None:
+        assert np.array_equal(s.gbest_position, [want_row, want_row])
+    for i, (f, p) in enumerate(rows):
+        assert np.array_equal(s.pbest_positions[i], [i, i] if np.isfinite(f) and f < p else [0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +387,7 @@ def test_step_single_particle_gbest_is_pbest():
     rng = RandomSource(cfg.seed)
     swarm = init_swarm(cfg, sphere, rng)
     step(swarm, sphere, cfg, rng, mode="epso")
-    assert swarm.gbest_fitness == swarm.particles[0].pbest_fitness
+    assert swarm.gbest_fitness == swarm.pbest_fitness[0]
 
 
 def test_step_deterministic_re_execution():
@@ -312,7 +398,7 @@ def test_step_deterministic_re_execution():
         swarm = init_swarm(cfg, sphere, rng)
         for _ in range(cfg.max_iterations):
             step(swarm, sphere, cfg, rng)
-        states.append(np.stack([p.position for p in swarm.particles]))
+        states.append(swarm.positions.copy())
     assert np.array_equal(states[0], states[1])
 
 
@@ -355,10 +441,10 @@ def test_positions_and_velocities_stay_bounded(seed, mode):
     limit = cfg.velocity_limit
     for _ in range(cfg.max_iterations):
         step(swarm, sphere, cfg, rng, mode=mode)
-        for p in swarm.particles:
-            assert np.all(p.position >= cfg.bounds[:, 0]) and np.all(p.position <= cfg.bounds[:, 1])
-            assert np.all(np.abs(p.velocity) <= limit + 1e-12)
-        assert swarm.gbest_fitness == min(q.pbest_fitness for q in swarm.particles)
+        lo, hi = cfg.bounds[:, 0], cfg.bounds[:, 1]
+        assert np.all(swarm.positions >= lo) and np.all(swarm.positions <= hi)
+        assert np.all(np.abs(swarm.velocities) <= limit + 1e-12)
+        assert swarm.gbest_fitness == swarm.pbest_fitness.min()
 
 
 def test_non_finite_objective_never_becomes_best():
@@ -388,3 +474,155 @@ def test_random_source_streams_independent_of_order():
     y2 = b.stream(1).random(5)  # drawn before stream 0
     y1 = b.stream(0).random(5)
     assert np.array_equal(x1, y1) and np.array_equal(x2, y2)
+
+
+# ---------------------------------------------------------------------------
+# golden runs: exact traces and best positions, recorded with the
+# per-particle implementation this array update replaced
+# ---------------------------------------------------------------------------
+
+def run_digest(run):
+    assert [t for t, _ in run.trace] == list(range(len(run.trace)))
+    return run.best_fitness, digest([f for _, f in run.trace]), digest(run.best_position)
+
+
+RASTRIGIN_GOLDENS = {  # rastrigin_shifted_rotated D10 (registry seed 1), P50, T200
+    1: (450.07937758675797,
+        "3db3173f64a74fb91aff133d794431a6a4c0c5cd8d981a57025a813f160eef06",
+        "f252378a539c604f9e48df66a18c1f3b51657cccb043e7dca08dc717f374cd3c"),
+    2: (424.81822354449605,
+        "ae9c55cf71f87bf9d9fbaee2d4e395e9c26a30e7d5f827bc0bbab3ca33fd0db7",
+        "ed546e12e9aee68c206420066a1ded26c3902c7f9cd8f87e1ec3aa48c82b1535"),
+    3: (408.6046115883237,
+        "94ac0da5f9bb675bb9a315ef340f40dcc52aa1fd643746bfdf67df369b41a589",
+        "453376df8a3d1f466c466e10a2a7252af74f6a56b30dc9d3e373b05b6a3c2d58"),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["pso", "epso"])
+def test_golden_rastrigin_traces(mode, seed):
+    # with the default schedule, group 2 never improves gbest here: both modes match
+    spec, fn = registry("rastrigin_shifted_rotated", 10, seed=1)
+    cfg = EpsoConfig(dimension=10, bounds=spec.bounds, population_size=50, max_iterations=200,
+                     seed=seed)
+    assert run_digest(optimize(cfg, fn, mode=mode)) == RASTRIGIN_GOLDENS[seed]
+
+
+def test_golden_composition_3_two_group_trace():
+    spec, fn = registry("composition_3", 10, seed=1)
+    cfg = EpsoConfig(dimension=10, bounds=spec.bounds, population_size=50, max_iterations=200,
+                     seed=4, g_pini=0.9, g_pfine=0.4)
+    assert run_digest(optimize(cfg, fn, mode="epso")) == (
+        1065762.638199871,
+        "359d4b78944b3f8e7891649b836e329728cae8862132d87ef420e0227b686248",
+        "103a7c01f10445ee193f8da2d70bb7663a37ec6a429452e807b87f3ddc6203c2",
+    )
+
+
+def test_golden_swarm_state_after_two_group_steps():
+    spec, fn = registry("rastrigin_shifted_rotated", 10, seed=1)
+    cfg = EpsoConfig(dimension=10, bounds=spec.bounds, population_size=20, max_iterations=30,
+                     seed=7, g_pini=0.8, g_pfine=0.3)
+    rng = RandomSource(cfg.seed)
+    swarm = init_swarm(cfg, fn, rng)
+    for _ in range(cfg.max_iterations):
+        step(swarm, fn, cfg, rng, mode="epso")
+    assert [digest(a) for a in (swarm.positions, swarm.velocities, swarm.pbest_positions,
+                                swarm.pbest_fitness, swarm.gbest_position)] == [
+        "a5c5a76aa6190201e7ba02fce5405d9fe7d783860e918ef6a95b779dbdfbf164",
+        "eca85ffd99e0d77586dad2b12b21b04fd94038816204ea62eb410f94708ad8c7",
+        "d9a2e312f0c5fff5aa76e48e396cbaef9ac827897fc9e4d8b97949ece7067ee4",
+        "d52aaabdad86e1086b5f6e3127163af8f879a4d1d3d5e6eef06ef86fa747f1d1",
+        "17f7ec25bb39afbcc760c06f685a47ed30f40a398b3c429ecc7b3f9ca4eba878",
+    ]
+    assert swarm.gbest_fitness == 2118.57477945101
+
+
+def test_golden_feature_selection_run():
+    d = synth_dataset(60, 200, 10, seed=0)
+    cfg = EpsoConfig(dimension=200, bounds=position_bounds(200), population_size=10,
+                     max_iterations=10, seed=5, g_pini=0.9, g_pfine=0.4)
+    res = select_features(d, cfg, WrapperConfig(), mode="epso")
+    assert run_digest(res.run) == (
+        0.0,
+        "10eef285deef7a4b7c82b22aa53589b7833df29de3814649c772bbd5c832f365",
+        "69a9fa97dac74a2dbbcb9e123da2baf5cc86e9e0412c64318b663e09b87d109f",
+    )
+
+
+# ---------------------------------------------------------------------------
+# properties over random boxes and schedules
+# ---------------------------------------------------------------------------
+
+@st.composite
+def configs(draw):
+    d = draw(st.integers(1, 5))
+    low = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d)))
+    width = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=d, max_size=d)))
+    g_pini = draw(st.floats(0.0, 1.0))
+    m_min = draw(st.integers(1, d))
+    return EpsoConfig(
+        dimension=d,
+        bounds=np.column_stack([low, low + width]),
+        population_size=draw(st.integers(1, 8)),
+        max_iterations=draw(st.integers(1, 12)),
+        g_pini=g_pini,
+        g_pfine=draw(st.floats(0.0, g_pini)),
+        m_min=m_min,
+        m_max=draw(st.integers(m_min, d)),
+        velocity_clamp_fraction=draw(st.floats(0.01, 1.0)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def shifted_sphere(cfg: EpsoConfig, pull: float):
+    """A bowl centred at the box centre plus pull * width, so pulls past 0.5 press on the bounds."""
+    lo, hi = cfg.bounds[:, 0], cfg.bounds[:, 1]
+    target = (lo + hi) / 2.0 + pull * (hi - lo)
+    return lambda x: float(np.sum(((x - target) / (hi - lo)) ** 2))
+
+
+def run_steps(cfg, objective, mode, rng):
+    swarm = init_swarm(cfg, objective, rng)
+    yield swarm
+    for _ in range(cfg.max_iterations):
+        step(swarm, objective, cfg, rng, mode=mode)
+        yield swarm
+
+
+@settings(max_examples=150, deadline=None)
+@given(configs(), st.sampled_from(["pso", "epso"]), st.floats(-2.0, 2.0))
+def test_property_rows_stay_in_bounds_and_gbest_is_best_pbest(cfg, mode, pull):
+    lo, hi, limit = cfg.bounds[:, 0], cfg.bounds[:, 1], cfg.velocity_limit
+    for swarm in run_steps(cfg, shifted_sphere(cfg, pull), mode, RandomSource(cfg.seed)):
+        shape = (cfg.population_size, cfg.dimension)
+        assert swarm.positions.shape == swarm.velocities.shape == shape
+        assert np.all((swarm.positions >= lo) & (swarm.positions <= hi))
+        assert np.all(np.abs(swarm.velocities) <= limit)
+        assert swarm.gbest_fitness == swarm.pbest_fitness.min()
+
+
+@settings(max_examples=60, deadline=None)
+@given(configs(), st.sampled_from(["pso", "epso"]))
+def test_property_streams_touched_in_reverse_order_give_same_trace(cfg, mode):
+    objective = shifted_sphere(cfg, 0.3)
+    reverse = RandomSource(cfg.seed)
+    for i in reversed(range(cfg.population_size)):
+        reverse.stream(i)
+    runs = []
+    for rng in (RandomSource(cfg.seed), reverse):
+        states = run_steps(cfg, objective, mode, rng)
+        runs.append([(s.gbest_fitness, s.positions.tobytes()) for s in states])
+    assert runs[0] == runs[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(configs())
+def test_property_schedules_monotone_and_in_range(cfg):
+    sizes = [group1_size(t, cfg) for t in range(cfg.max_iterations + 1)]
+    genes = [mutation_gene_count(t, cfg) for t in range(cfg.max_iterations + 1)]
+    assert all(a >= b for a, b in zip(sizes, sizes[1:]))
+    assert all(a <= b for a, b in zip(genes, genes[1:]))
+    assert all(0 <= g <= cfg.population_size for g in sizes)
+    assert all(cfg.m_min <= m <= cfg.m_max for m in genes)
