@@ -49,7 +49,7 @@ def main():
     print(f"\nselected {result.mask.count} of {N_FEATURES} features "
           f"with accuracy {result.accuracy:.4f} "
           f"({result.wall_time:.2f}s)")
-    print("selected:", ", ".join(result.selected_names))
+    print("selected:", ", ".join(np.array(data.feature_names)[result.mask.selected]))
 
     # the dataset name records which columns were informative
     informative = data.name.split("inf[")[1].rstrip("]")

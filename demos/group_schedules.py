@@ -7,7 +7,7 @@ of mutated genes per group-2 particle grows quadratically from m_min to m_max.
 Usage: python3 demos/group_schedules.py
 """
 
-from epso import EpsoConfig, group1_size, group2_size, mutation_gene_count
+from epso import EpsoConfig, group1_size, mutation_gene_count
 
 cfg = EpsoConfig(
     dimension=20,
@@ -26,6 +26,6 @@ print(f"population={cfg.population_size}, iterations={cfg.max_iterations}, "
 print(f"{'iteration':>9}  {'group 1':>7}  {'group 2':>7}  {'mutated genes':>13}")
 for t in range(0, cfg.max_iterations + 1, 10):
     g1 = group1_size(t, cfg)
-    g2 = group2_size(cfg.population_size, g1)
+    g2 = cfg.population_size - g1
     m = mutation_gene_count(t, cfg)
     print(f"{t:>9}  {g1:>7}  {g2:>7}  {m:>13}")

@@ -26,76 +26,56 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each dest is the config key the flag sets; a flag left out is None
     def add_common(p):
         p.add_argument("--runs", type=int, default=None, help="independent runs (default 30)")
-        p.add_argument("--algo", choices=["pso", "epso", "both"], default=None)
-        p.add_argument("--seed", type=int, default=None, help="base seed; run i uses seed+i")
-        p.add_argument("--out", default=None, help="output directory (default 'out')")
-        p.add_argument("--trace", action="store_true", help="also emit per-run convergence CSVs")
+        p.add_argument("--algo", dest="algorithm", choices=["pso", "epso", "both"], default=None)
+        p.add_argument("--seed", dest="base_seed", type=int, default=None,
+                       help="base seed; run i uses seed+i")
+        p.add_argument("--out", dest="out_dir", default=None,
+                       help="output directory (default 'out')")
+        p.add_argument("--trace", dest="emit_traces", action="store_true", default=None,
+                       help="also emit per-run convergence CSVs")
         p.add_argument("--config", default=None, help="JSON config file; flags override it")
-        p.add_argument("--population", type=int, default=None)
-        p.add_argument("--iterations", type=int, default=None)
+        p.add_argument("--population", dest="population_size", type=int, default=None)
+        p.add_argument("--iterations", dest="max_iterations", type=int, default=None)
 
     bench = sub.add_parser("bench", help="benchmark function comparison")
     bench.add_argument(
         "--function", default=None,
         help="registry function name: " + ", ".join(available_functions()),
     )
-    bench.add_argument("--dim", type=int, default=None, help="problem dimension (default 10)")
+    bench.add_argument("--dim", dest="dimension", type=int, default=None,
+                       help="problem dimension (default 10)")
     add_common(bench)
 
     select = sub.add_parser("select", help="wrapper feature selection on a CSV dataset")
-    select.add_argument("--data", default=None, help="path to the CSV dataset")
+    select.add_argument("--data", dest="data_path", default=None, help="path to the CSV dataset")
     select.add_argument(
         "--label-col", default=None,
         help="label column: 'first', 'last', or a header name (default 'last')",
     )
     select.add_argument("--threshold", type=float, default=None,
                         help="feature selection threshold in (-1, 1), default 0.5")
-    select.add_argument("--folds", type=int, default=None, help="stratified folds (default 10)")
+    select.add_argument("--folds", dest="k_folds", type=int, default=None,
+                        help="stratified folds (default 10)")
     add_common(select)
 
     return parser
 
 
-_FLAG_TO_KEY = {
-    "runs": "runs",
-    "algo": "algorithm",
-    "seed": "base_seed",
-    "out": "out_dir",
-    "population": "population_size",
-    "iterations": "max_iterations",
-    "function": "function",
-    "dim": "dimension",
-    "data": "data_path",
-    "label_col": "label_col",
-    "threshold": "threshold",
-    "folds": "k_folds",
-}
-
-
-def _overrides(args: argparse.Namespace) -> dict:
-    values = {}
-    for flag, key in _FLAG_TO_KEY.items():
-        v = getattr(args, flag, None)
-        if v is not None:
-            values[key] = v
-    if args.trace:
-        values["emit_traces"] = True
-    return values
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     task = "benchmark" if args.command == "bench" else "feature-selection"
+    overrides = {k: v for k, v in vars(args).items()
+                 if v is not None and k not in ("command", "config")}
     try:
-        overrides = _overrides(args)
         if args.config:
             cfg = parse_config(args.config, task, overrides)
         else:
             cfg = build_config(task, overrides)
         report = run_experiment(cfg)
-        paths = emit_report(report, "both", cfg.out_dir)
+        paths = emit_report(report, cfg.out_dir)
         if cfg.emit_traces:
             paths += emit_traces(report, cfg.out_dir)
         for row in report.rows:

@@ -54,8 +54,7 @@ class FeatureSelectionResult:
     mask: FeatureMask
     accuracy: float
     wall_time: float
-    selected_names: tuple[str, ...]
-    run: RunResult | None = None
+    run: RunResult
 
 
 def binarize(position, threshold: float) -> FeatureMask:
@@ -178,12 +177,9 @@ def select_features(
     start = time.perf_counter()
     objective = wrapper_objective(d, wrapper_cfg, seed=epso_config.seed)
     run = optimize(epso_config, objective, mode=mode)
-    mask = binarize(run.best_position, wrapper_cfg.threshold)
-    names = tuple(np.array(d.feature_names)[mask.selected])
     return FeatureSelectionResult(
-        mask=mask,
+        mask=binarize(run.best_position, wrapper_cfg.threshold),
         accuracy=1.0 - run.best_fitness,
         wall_time=time.perf_counter() - start,
-        selected_names=names,
         run=run,
     )

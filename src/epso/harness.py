@@ -5,18 +5,17 @@ runs, five-number summaries, and CSV/JSON reports plus convergence traces.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
-from dataclasses import dataclass, asdict
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .benchmarks import registry
-from .datasets import Dataset, complexity_index, load_csv, normalize_minmax
+from .datasets import complexity_index, load_csv, normalize_minmax
 from .errors import ConfigError, ContractError
 from .feature_selection import (
-    FeatureSelectionResult,
     WrapperConfig,
     position_bounds,
     select_features,
@@ -54,9 +53,20 @@ def summarize(values) -> SummaryStats:
     )
 
 
+# EpsoConfig's keywords and defaults, less the three that each run sets
+SWARM_DEFAULTS = {
+    f.name: f.default for f in fields(EpsoConfig)
+    if f.name not in ("dimension", "bounds", "seed")
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One fully resolved experiment; run i always uses seed base_seed + i."""
+    """One fully resolved experiment; run i always uses seed base_seed + i.
+
+    swarm holds EpsoConfig keywords (the SWARM_DEFAULTS keys); the missing
+    ones take EpsoConfig's defaults, and EpsoConfig checks the values.
+    """
 
     task: str
     algorithm: str = "both"
@@ -73,18 +83,7 @@ class ExperimentConfig:
     threshold: float = 0.5
     k_folds: int = 10
     normalize: bool = True
-    # swarm hyperparameters
-    population_size: int = 50
-    max_iterations: int = 100
-    inertia_start: float = 0.9
-    inertia_end: float = 0.4
-    c1: float = 2.0
-    c2: float = 2.0
-    g_pini: float = 1.0
-    g_pfine: float = 0.9
-    m_min: int = 1
-    m_max: int | None = None
-    velocity_clamp_fraction: float = 0.2
+    swarm: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.task not in TASKS:
@@ -93,54 +92,51 @@ class ExperimentConfig:
             raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if self.runs < 1:
             raise ConfigError("runs must be at least 1")
-        if self.base_seed < 0:
-            raise ConfigError("base_seed must be non-negative")
-        if not (0.0 <= self.g_pfine <= self.g_pini <= 1.0):
-            raise ConfigError("need 0 <= g_pfine <= g_pini <= 1")
+        object.__setattr__(self, "swarm", {**SWARM_DEFAULTS, **self.swarm})
         if self.task == "benchmark":
             if not self.function:
                 raise ConfigError("benchmark task requires 'function'")
-            if self.dimension < 1:
-                raise ConfigError("dimension must be positive")
+            dimension = self.dimension
         else:
             if not self.data_path:
                 raise ConfigError("feature-selection task requires 'data_path'")
             WrapperConfig(threshold=self.threshold, k_folds=self.k_folds)
+            # the dataset's width is known only once it is loaded: check at the
+            # least width that m_min allows, so only m_min > width waits for it
+            m_min = self.swarm["m_min"]
+            dimension = max(int(m_min), 1) if isinstance(m_min, numbers.Integral) else 1
+        self.swarm_config(dimension, (0.0, 1.0), self.base_seed)  # fails before any run
 
     def swarm_config(self, dimension: int, bounds, seed: int) -> EpsoConfig:
-        m_max = self.m_max
-        if m_max is not None:
-            m_max = min(m_max, dimension)
-        return EpsoConfig(
-            dimension=dimension,
-            bounds=bounds,
-            population_size=self.population_size,
-            max_iterations=self.max_iterations,
-            inertia_start=self.inertia_start,
-            inertia_end=self.inertia_end,
-            c1=self.c1,
-            c2=self.c2,
-            g_pini=self.g_pini,
-            g_pfine=self.g_pfine,
-            m_min=self.m_min,
-            m_max=m_max,
-            velocity_clamp_fraction=self.velocity_clamp_fraction,
-            seed=seed,
-        )
+        """EpsoConfig(dimension, bounds, seed, **swarm) for one run.
+
+        An m_max above the dimension is capped at it, so one config serves
+        datasets of any width.
+        """
+        m_max = self.swarm["m_max"]
+        if isinstance(m_max, numbers.Integral) and m_max > dimension:
+            m_max = dimension
+        return EpsoConfig(dimension=dimension, bounds=bounds, seed=seed,
+                          **{**self.swarm, "m_max": m_max})
 
     def algorithms(self) -> list[str]:
         return ["pso", "epso"] if self.algorithm == "both" else [self.algorithm]
 
 
-_CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+_EXPERIMENT_KEYS = {f.name for f in fields(ExperimentConfig)} - {"task", "swarm"}
 
 
 def build_config(task: str, values: dict) -> ExperimentConfig:
-    """Build a validated config from a mapping, rejecting unknown keys."""
-    unknown = sorted(set(values) - (_CONFIG_KEYS - {"task"}))
+    """Build a validated config from a flat mapping, rejecting unknown keys.
+
+    The SWARM_DEFAULTS keys go to the swarm block; the rest are fields.
+    """
+    unknown = sorted(set(values) - _EXPERIMENT_KEYS - set(SWARM_DEFAULTS))
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    return ExperimentConfig(task=task, **values)
+    swarm = {k: v for k, v in values.items() if k in SWARM_DEFAULTS}
+    experiment = {k: v for k, v in values.items() if k not in SWARM_DEFAULTS}
+    return ExperimentConfig(task=task, swarm=swarm, **experiment)
 
 
 def parse_config(path, task: str, overrides: dict | None = None) -> ExperimentConfig:
@@ -239,48 +235,40 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             ]
             traces[algo] = [r.run for r in results]
 
+    config = asdict(cfg)
+    config.update(config.pop("swarm"))
     return ExperimentReport(
         task=cfg.task,
-        config=asdict(cfg),
+        config=config,
         rows=rows,
         runs=run_records,
         traces=traces,
     )
 
 
-def emit_report(report: ExperimentReport, fmt: str, out_dir) -> list[Path]:
-    """Write report.csv and/or report.json into out_dir; returns the paths."""
+def emit_report(report: ExperimentReport, out_dir) -> list[Path]:
+    """Write report.csv and report.json into out_dir; returns both paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    fmt = fmt.lower()
-    if fmt not in ("csv", "json", "both"):
-        raise ConfigError("format must be 'csv', 'json', or 'both'")
+    columns = BENCH_CSV_COLUMNS if report.task == "benchmark" else SELECT_CSV_COLUMNS
+    csv_path = out / "report.csv"
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in report.rows:
+            writer.writerow([row[c] for c in columns])
 
-    if fmt in ("csv", "both"):
-        columns = BENCH_CSV_COLUMNS if report.task == "benchmark" else SELECT_CSV_COLUMNS
-        path = out / "report.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            for row in report.rows:
-                writer.writerow([row[c] for c in columns])
-        written.append(path)
-
-    if fmt in ("json", "both"):
-        path = out / "report.json"
-        payload = {
-            "task": report.task,
-            "config": report.config,
-            "rows": report.rows,
-            "runs": report.runs,
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        written.append(path)
-
-    return written
+    json_path = out / "report.json"
+    payload = {
+        "task": report.task,
+        "config": report.config,
+        "rows": report.rows,
+        "runs": report.runs,
+    }
+    with open(json_path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return [csv_path, json_path]
 
 
 def emit_trace(run: RunResult, path) -> Path:
@@ -300,7 +288,5 @@ def emit_traces(report: ExperimentReport, out_dir) -> list[Path]:
     written = []
     for algo, runs in report.traces.items():
         for i, run in enumerate(runs):
-            if run is None:
-                continue
             written.append(emit_trace(run, out / f"trace_{algo}_run{i:03d}.csv"))
     return written

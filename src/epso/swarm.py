@@ -15,6 +15,8 @@ once per particle, with a 1-D row, in index order.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -40,7 +42,8 @@ class EpsoConfig:
     """All hyperparameters of one optimization run.
 
     bounds may be given as a single (low, high) pair, broadcast to every
-    dimension, or as a (dimension, 2) array.
+    dimension, or as a (dimension, 2) array; either way the config keeps a
+    read-only (dimension, 2) view.
     """
 
     dimension: int
@@ -59,18 +62,29 @@ class EpsoConfig:
     seed: int = 0
 
     def __post_init__(self):
+        def wrong_type(value, kind) -> bool:
+            return isinstance(value, bool) or not isinstance(value, kind)
+
+        for name in ("dimension", "population_size", "max_iterations", "m_min", "m_max", "seed"):
+            value = getattr(self, name)
+            if wrong_type(value, numbers.Integral) and not (name == "m_max" and value is None):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("inertia_start", "inertia_end", "c1", "c2", "g_pini", "g_pfine",
+                     "velocity_clamp_fraction"):
+            value = getattr(self, name)
+            if wrong_type(value, numbers.Real) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.dimension < 1:
             raise ConfigError("dimension must be a positive integer")
         b = np.atleast_2d(np.asarray(self.bounds, dtype=float))
-        if b.shape == (1, 2) and self.dimension > 1:
-            b = np.repeat(b, self.dimension, axis=0)
-        if b.shape != (self.dimension, 2):
+        if b.shape not in ((1, 2), (self.dimension, 2)):
             raise ConfigError(
                 f"bounds must have shape ({self.dimension}, 2), got {b.shape}"
             )
         if not np.all(b[:, 0] < b[:, 1]):
             raise ConfigError("bounds must satisfy low < high in every dimension")
-        object.__setattr__(self, "bounds", b)
+        # a view, so a single pair spans any dimension without a copy
+        object.__setattr__(self, "bounds", np.broadcast_to(b, (self.dimension, 2)))
         if self.population_size < 1:
             raise ConfigError("population_size must be a positive integer")
         if self.max_iterations < 0:
@@ -86,7 +100,7 @@ class EpsoConfig:
             raise ConfigError("need 1 <= m_min <= m_max <= dimension")
         if not (0.0 < self.velocity_clamp_fraction <= 1.0):
             raise ConfigError("velocity_clamp_fraction must be in (0, 1]")
-        if int(self.seed) < 0:
+        if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
 
     @property
@@ -198,12 +212,6 @@ def group1_size(iteration: int, config: EpsoConfig) -> int:
     frac = (iteration / T) ** 2 if T > 0 else 0.0
     raw = (config.g_pini - frac * (config.g_pini - config.g_pfine)) * config.population_size
     return min(max(_round_half_away(raw), 0), config.population_size)
-
-
-def group2_size(population_size: int, g1: int) -> int:
-    if g1 > population_size:
-        raise ContractError("group 1 cannot exceed the population size")
-    return population_size - g1
 
 
 def mutation_gene_count(iteration: int, config: EpsoConfig) -> int:

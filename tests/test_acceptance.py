@@ -15,33 +15,30 @@ import pytest
 from epso import (
     EpsoConfig,
     FeatureMask,
-    RandomSource,
+    evaluate_mask,
+    group1_size,
+    mutation_gene_count,
+    optimize,
+    position_bounds,
+    registry,
+    select_features,
+    summarize,
+    synth_dataset,
+    WrapperConfig,
+)
+from epso.benchmarks import (
+    CompositionComponent,
     available_functions,
-    binarize,
-    cfo_index,
     composition_weights,
     elliptic,
     cigar,
     ackley,
     rastrigin,
     schwefel,
-    evaluate_mask,
-    group1_size,
-    group2_size,
-    init_swarm,
-    knn_classify,
-    mutation_gene_count,
-    optimize,
-    position_bounds,
-    registry,
-    select_features,
-    step,
-    summarize,
-    synth_dataset,
-    save_csv,
-    WrapperConfig,
 )
-from epso.benchmarks import CompositionComponent
+from epso.datasets import cfo_index, save_csv
+from epso.feature_selection import binarize, knn_classify
+from epso.swarm import RandomSource, assign_groups, init_swarm, step
 from epso.cli import main
 
 
@@ -81,12 +78,14 @@ def test_acceptance_02_schedule_tables():
     for t, want in expected_g1.items():
         g1 = group1_size(t, cfg)
         assert g1 == want, (t, g1, want)
-        assert g1 + group2_size(cfg.population_size, g1) == 50
     for t, want in expected_m.items():
         assert mutation_gene_count(t, cfg) == want, t
+    fitness = np.random.default_rng(0).random(50)
     for t in range(101):
         g1 = group1_size(t, cfg)
-        assert g1 + group2_size(50, g1) == 50
+        group1, group2 = assign_groups(fitness, g1)
+        assert len(group1) == g1
+        assert np.array_equal(np.sort(np.concatenate([group1, group2])), np.arange(50))
     report("schedule tables: group sizes and gene counts match hand values, sums exact")
 
 
@@ -168,7 +167,7 @@ def test_acceptance_06_nearest_neighbor_oracle():
         assert knn_classify(x, y, q) == y[best]
 
         # LOO accuracy vs. all-pairs brute force on a random mask
-        from epso import Dataset
+        from epso.datasets import Dataset
         d = Dataset(x, y, tuple(f"g{i}" for i in range(f)), f"case{case}")
         mask = FeatureMask(rng.random(f) > 0.3)
         if mask.count == 0:

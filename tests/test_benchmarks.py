@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from epso import (
+from epso import ContractError, UnknownFunctionError, registry
+from epso.benchmarks import (
     CompositionComponent,
-    ContractError,
     TransformSpec,
-    UnknownFunctionError,
     ackley,
     apply_transform,
     available_functions,
@@ -15,7 +14,6 @@ from epso import (
     elliptic,
     hybrid,
     rastrigin,
-    registry,
     schwefel,
 )
 

@@ -1,18 +1,8 @@
 import numpy as np
 import pytest
 
-from epso import (
-    ContractError,
-    DataError,
-    Dataset,
-    cfo_index,
-    complexity_index,
-    load_csv,
-    normalize_minmax,
-    save_csv,
-    stratified_folds,
-    synth_dataset,
-)
+from epso import ContractError, DataError, normalize_minmax, synth_dataset
+from epso.datasets import Dataset, cfo_index, complexity_index, load_csv, save_csv, stratified_folds
 
 
 def write(tmp_path, text, name="data.csv"):

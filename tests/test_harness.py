@@ -1,27 +1,28 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from epso import (
-    ConfigError,
-    ContractError,
+from epso import ConfigError, ContractError, UnknownFunctionError, summarize, synth_dataset
+from epso.benchmarks import available_functions
+from epso.datasets import save_csv
+from epso.harness import (
+    BENCH_CSV_COLUMNS,
+    SELECT_CSV_COLUMNS,
+    SWARM_DEFAULTS,
     ExperimentConfig,
-    UnknownFunctionError,
-    available_functions,
     build_config,
     emit_report,
     emit_trace,
     parse_config,
     run_experiment,
-    save_csv,
-    summarize,
-    synth_dataset,
 )
+from epso import cli, harness
 from epso.cli import main
-from epso.harness import BENCH_CSV_COLUMNS, SELECT_CSV_COLUMNS
+from epso.swarm import RunResult
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +77,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(task="benchmark", function="hybrid_1", runs=0)
     with pytest.raises(ConfigError):
-        ExperimentConfig(task="benchmark", function="hybrid_1",
-                         g_pini=0.5, g_pfine=0.9)
+        build_config("benchmark", {"function": "hybrid_1", "g_pini": 0.5, "g_pfine": 0.9})
 
 
 def test_parse_config_overrides_win(tmp_path):
@@ -97,7 +97,7 @@ def test_parse_config_bad_file(tmp_path):
 
 
 def test_swarm_config_caps_mutation_span():
-    cfg = ExperimentConfig(task="benchmark", function="hybrid_1", m_max=50)
+    cfg = build_config("benchmark", {"function": "hybrid_1", "m_max": 50})
     ec = cfg.swarm_config(4, [-1.0, 1.0], seed=0)
     assert ec.m_max == 4
 
@@ -112,7 +112,7 @@ def bench_cfg(**kw):
     kw.setdefault("runs", 3)
     kw.setdefault("population_size", 8)
     kw.setdefault("max_iterations", 5)
-    return ExperimentConfig(task="benchmark", **kw)
+    return build_config("benchmark", kw)
 
 
 def test_benchmark_experiment_shape_and_seeds():
@@ -147,7 +147,7 @@ def select_cfg(tmp_path, **kw):
     kw.setdefault("population_size", 6)
     kw.setdefault("max_iterations", 4)
     kw.setdefault("k_folds", 3)
-    return ExperimentConfig(task="feature-selection", data_path=str(path), **kw)
+    return build_config("feature-selection", {"data_path": str(path), **kw})
 
 
 def test_selection_experiment_rows(tmp_path):
@@ -169,7 +169,7 @@ def test_selection_experiment_rows(tmp_path):
 
 def test_emit_report_csv_columns_and_json_roundtrip(tmp_path):
     report = run_experiment(bench_cfg())
-    paths = emit_report(report, "both", tmp_path)
+    paths = emit_report(report, tmp_path)
     assert sorted(p.name for p in paths) == ["report.csv", "report.json"]
 
     with open(tmp_path / "report.csv", newline="") as fh:
@@ -190,16 +190,10 @@ def test_emit_report_csv_columns_and_json_roundtrip(tmp_path):
 
 def test_emit_report_selection_columns(tmp_path):
     report = run_experiment(select_cfg(tmp_path))
-    emit_report(report, "csv", tmp_path / "out")
+    emit_report(report, tmp_path / "out")
     with open(tmp_path / "out" / "report.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == SELECT_CSV_COLUMNS
-
-
-def test_emit_report_rejects_bad_format(tmp_path):
-    report = run_experiment(bench_cfg())
-    with pytest.raises(ConfigError):
-        emit_report(report, "xml", tmp_path)
 
 
 def test_emit_trace_is_full_curve(tmp_path):
@@ -290,3 +284,117 @@ def test_cli_unknown_function_message_is_unquoted(capsys):
     err = capsys.readouterr().err
     names = ", ".join(available_functions())
     assert err == f"error: unknown function 'nope'; available: {names}\n"
+
+
+# ---------------------------------------------------------------------------
+# config keys, end to end
+# ---------------------------------------------------------------------------
+
+# each swarm key with an out-of-range value and with a value of the wrong type
+BAD_SWARM_VALUES = [
+    ("population_size", 0), ("population_size", "50"),
+    ("max_iterations", -1), ("max_iterations", 2.5),
+    ("inertia_start", float("nan")), ("inertia_start", "0.9"),
+    ("inertia_end", float("inf")), ("inertia_end", None),
+    ("c1", -1.0), ("c1", "2"),
+    ("c2", -0.5), ("c2", True),
+    ("g_pini", 1.5), ("g_pini", [1.0]),
+    ("g_pfine", -0.1), ("g_pfine", "0.9"),
+    ("m_min", 0), ("m_min", 1.0),
+    ("m_max", 0), ("m_max", "half"),
+    ("velocity_clamp_fraction", 0.0), ("velocity_clamp_fraction", float("nan")),
+]
+
+
+@pytest.mark.parametrize("command", ["bench", "select"])
+@pytest.mark.parametrize("key,value", BAD_SWARM_VALUES)
+def test_cli_bad_swarm_value_exits_2_before_any_run(tmp_path, capsys, monkeypatch,
+                                                    command, key, value):
+    assert {k for k, _ in BAD_SWARM_VALUES} == set(SWARM_DEFAULTS)
+
+    def no_run(cfg):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    data = tmp_path / "d.csv"
+    save_csv(synth_dataset(12, 4, 2, seed=1), data)
+    values = {"function": "hybrid_1"} if command == "bench" else {"data_path": str(data)}
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({**values, key: value}))
+    assert main([command, "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_select_m_min_above_width_waits_for_the_data(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    save_csv(synth_dataset(12, 4, 2, seed=1), data)
+    values = {"data_path": str(data), "m_min": 5}  # 4 features
+    assert build_config("feature-selection", values).swarm["m_min"] == 5
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps(values))
+    assert main(["select", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 2
+    assert "m_min <= m_max <= dimension" in capsys.readouterr().err
+
+
+def test_select_config_check_costs_no_memory_per_m_min():
+    tracemalloc.start()
+    try:
+        build_config("feature-selection", {"data_path": "d.csv", "m_min": 10**6})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # a (10**6, 2) float copy of the bounds would be 16 MB
+
+
+def test_cli_every_flag_sets_its_own_config_key(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    save_csv(synth_dataset(20, 5, 2, seed=2), data)
+    # values differ from the defaults and from each other, so a flag that
+    # lands in another key shows up as a wrong value
+    common = {
+        "--runs": ("runs", 2), "--algo": ("algorithm", "pso"), "--seed": ("base_seed", 7),
+        "--population": ("population_size", 4), "--iterations": ("max_iterations", 3),
+    }
+    flags = {
+        "bench": {**common, "--function": ("function", "cigar_rotated"),
+                  "--dim": ("dimension", 5)},
+        "select": {**common, "--data": ("data_path", str(data)),
+                   "--label-col": ("label_col", "label"), "--threshold": ("threshold", 0.25),
+                   "--folds": ("k_folds", 6)},
+    }
+    for command, by_flag in flags.items():
+        out = tmp_path / command
+        argv = [command, "--out", str(out), "--trace"]
+        for flag, (_, value) in by_flag.items():
+            argv += [flag, str(value)]
+        assert main(argv) == 0
+        config = json.loads((out / "report.json").read_text())["config"]
+        assert config["out_dir"] == str(out) and config["emit_traces"] is True
+        for flag, (key, value) in by_flag.items():
+            assert config[key] == value, flag
+    capsys.readouterr()
+
+
+# report.json "config" of `epso bench --function rastrigin_shifted_rotated`,
+# recorded before the swarm keys moved into ExperimentConfig.swarm
+DEFAULT_BENCH_CONFIG = {
+    "algorithm": "both", "base_seed": 1, "c1": 2.0, "c2": 2.0, "data_path": None,
+    "dimension": 10, "emit_traces": False, "function": "rastrigin_shifted_rotated",
+    "g_pfine": 0.9, "g_pini": 1.0, "inertia_end": 0.4, "inertia_start": 0.9, "k_folds": 10,
+    "label_col": "last", "m_max": None, "m_min": 1, "max_iterations": 100, "normalize": True,
+    "out_dir": "out", "population_size": 50, "runs": 30, "task": "benchmark",
+    "threshold": 0.5, "velocity_clamp_fraction": 0.2,
+}
+
+
+def test_cli_default_bench_config_is_flat_and_unchanged(tmp_path, capsys, monkeypatch):
+    def quick(config, objective, mode="epso"):  # the config does not depend on the search
+        return RunResult(np.zeros(config.dimension), 1.0, [(0, 1.0)], 0.0, config.seed)
+
+    monkeypatch.setattr(harness, "optimize", quick)
+    monkeypatch.chdir(tmp_path)
+    assert main(["bench", "--function", "rastrigin_shifted_rotated"]) == 0
+    capsys.readouterr()
+    config = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
+    assert json.dumps(config, sort_keys=True) == json.dumps(DEFAULT_BENCH_CONFIG, sort_keys=True)

@@ -10,26 +10,27 @@ from epso import (
     ContractError,
     EpsoConfig,
     EvaluationError,
-    RandomSource,
-    SwarmState,
-    apply_velocity,
-    assign_groups,
     group1_size,
-    group2_size,
-    inertia_weight,
-    init_swarm,
     mutation_gene_count,
     optimize,
     position_bounds,
     registry,
     select_features,
+    synth_dataset,
+    WrapperConfig,
+)
+from epso.swarm import (
+    RandomSource,
+    SwarmState,
+    apply_velocity,
+    assign_groups,
+    inertia_weight,
+    init_swarm,
     select_mutation_genes,
     step,
     update_bests,
     update_velocity_extended,
     update_velocity_standard,
-    synth_dataset,
-    WrapperConfig,
 )
 
 
@@ -177,19 +178,14 @@ def test_group1_size_endpoints_and_midpoint():
     assert group1_size(cfg.max_iterations // 2, cfg) == 8
 
 
-def test_group2_size():
-    assert group2_size(10, 10) == 0
-    assert group2_size(10, 0) == 10
-    assert group2_size(50, 45) == 5
-    with pytest.raises(ContractError):
-        group2_size(10, 11)
-
-
 def test_groups_always_cover_population():
     cfg = make_config(g_pini=0.9, g_pfine=0.5, population_size=50)
+    fitness = np.random.default_rng(1).random(50)
     for t in range(cfg.max_iterations + 1):
         g1 = group1_size(t, cfg)
-        assert g1 + group2_size(cfg.population_size, g1) == 50
+        group1, group2 = assign_groups(fitness, g1)
+        assert len(group1) == g1
+        assert np.array_equal(np.sort(np.concatenate([group1, group2])), np.arange(50))
 
 
 def test_group1_size_non_increasing():
