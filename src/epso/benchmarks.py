@@ -5,6 +5,12 @@ Shift vectors and rotation matrices are generated from a seed (uniform shift
 inside the central 80% of the box, rotation from QR-orthonormalization of a
 Gaussian matrix), so every registry entry is reproducible without external
 data files.
+
+Every function takes one point (D,) or a stack of points (..., D) and reduces
+along the last axis: a 1-D input gives a Python float, a (P, D) input gives
+the P row values. Each row's value is bit-identical to the 1-D call on that
+row, because each row goes through the same reductions and the same BLAS
+call (gemv for a rotation, dot for a distance) as the 1-D input does.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ContractError, UnknownFunctionError
+from .swarm import batch_objective
 
 Objective = Callable[[np.ndarray], float]
 
@@ -26,49 +33,75 @@ DEFAULT_LOW, DEFAULT_HIGH = -100.0, 100.0
 # Base functions (all non-negative, 0 at their canonical optimum)
 # ---------------------------------------------------------------------------
 
+def _points(z) -> np.ndarray:
+    """z as floats with each point along the last axis; a scalar is a 1-vector."""
+    z = np.asarray(z, dtype=float)
+    return z if z.ndim else z.reshape(1)
+
+
+def _value(v):
+    """A Python float for one point, the array of values for a stack of points."""
+    return v if getattr(v, "ndim", 0) else float(v)
+
+
+def _scalar_square(v) -> np.ndarray:
+    """v ** 2 element by element as a float64 scalar computes it.
+
+    A scalar's ** 2 calls libm pow, an array's ** 2 computes v * v, and the
+    two differ in the last bit for about one value in a thousand. The 1-D
+    forms square scalars here, so the stacked forms do the same.
+    """
+    v = np.asarray(v, dtype=float)
+    return np.array([x ** 2 for x in v.flat]).reshape(v.shape)
+
+
 def elliptic(z) -> float:
     """Sum of (1e6)^(d/(D-1)) * z_d^2; a highly ill-conditioned bowl."""
-    z = np.asarray(z, dtype=float)
-    if z.size == 0:
+    z = _points(z)
+    d = z.shape[-1]
+    if d == 0:
         raise ContractError("elliptic needs a non-empty vector")
-    if z.size == 1:
-        return float(z[0] ** 2)
-    weights = 1e6 ** (np.arange(z.size) / (z.size - 1))
-    return float((weights * z * z).sum())
+    if d == 1:
+        return _value(_scalar_square(z[..., 0]))
+    weights = 1e6 ** (np.arange(d) / (d - 1))
+    return _value((weights * z * z).sum(axis=-1))
 
 
 def cigar(z) -> float:
     """z_1^2 + 1e6 * sum of the remaining squares."""
-    z = np.asarray(z, dtype=float)
-    if z.size < 2:
+    z = _points(z)
+    if z.shape[-1] < 2:
         raise ContractError("cigar needs at least 2 dimensions")
-    return float(z[0] ** 2 + 1e6 * (z[1:] ** 2).sum())
+    return _value(_scalar_square(z[..., 0]) + 1e6 * (z[..., 1:] ** 2).sum(axis=-1))
 
 
 def ackley(z) -> float:
-    z = np.asarray(z, dtype=float)
-    if z.size == 0:
+    z = _points(z)
+    if z.shape[-1] == 0:
         raise ContractError("ackley needs a non-empty vector")
-    term1 = -20.0 * np.exp(-0.2 * np.sqrt((z * z).mean()))
-    term2 = -np.exp(np.cos(2.0 * np.pi * z).mean())
-    return float(term1 + term2 + 20.0 + np.e)
+    term1 = -20.0 * np.exp(-0.2 * np.sqrt((z * z).mean(axis=-1)))
+    term2 = -np.exp(np.cos(2.0 * np.pi * z).mean(axis=-1))
+    return _value(term1 + term2 + 20.0 + np.e)
 
 
 def rastrigin(z) -> float:
-    z = np.asarray(z, dtype=float)
-    if z.size == 0:
+    z = _points(z)
+    if z.shape[-1] == 0:
         raise ContractError("rastrigin needs a non-empty vector")
-    return float((z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0).sum())
+    return _value((z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0).sum(axis=-1))
 
 
 def schwefel(z) -> float:
-    """418.9829*D - sum z_d*sin(sqrt|z_d|); defined only on [-500, 500]^D."""
-    z = np.asarray(z, dtype=float)
-    if z.size == 0:
+    """418.9829*D - sum z_d*sin(sqrt|z_d|); defined only on [-500, 500]^D.
+
+    One component outside the domain fails the whole call, stacked or not.
+    """
+    z = _points(z)
+    if z.shape[-1] == 0:
         raise ContractError("schwefel needs a non-empty vector")
     if np.any(np.abs(z) > 500.0):
         raise ContractError("schwefel is defined only for components in [-500, 500]")
-    return float(418.9829 * z.size - (z * np.sin(np.sqrt(np.abs(z)))).sum())
+    return _value(418.9829 * z.shape[-1] - (z * np.sin(np.sqrt(np.abs(z)))).sum(axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +128,15 @@ class TransformSpec:
 
 
 def apply_transform(x, t: TransformSpec) -> np.ndarray:
-    """z = rotation @ (x - shift)."""
+    """z = rotation @ (x - shift), for one point or each point of a stack.
+
+    The stacked form is one gemv per point, the same call as the 1-D form, so
+    each point's z keeps its bits; (x - shift) @ rotation.T would not.
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape != t.shift.shape:
+    if x.shape[-1:] != t.shift.shape:
         raise ContractError("input dimension does not match the transform")
-    return t.rotation @ (x - t.shift)
+    return np.matmul(t.rotation, (x - t.shift)[..., None])[..., 0]
 
 
 def hybrid(parts: Sequence[tuple[Objective, float]]) -> Objective:
@@ -132,10 +169,10 @@ def hybrid(parts: Sequence[tuple[Objective, float]]) -> Objective:
         z = np.asarray(z, dtype=float)
         total = 0.0
         start = 0
-        for (fn, _), size in zip(parts, _splits(z.size)):
-            total += fn(z[start:start + size])
+        for (fn, _), size in zip(parts, _splits(z.shape[-1])):
+            total = total + fn(z[..., start:start + size])
             start += size
-        return float(total)
+        return _value(total)
 
     return objective
 
@@ -155,22 +192,25 @@ def composition_weights(x, components: Sequence[CompositionComponent]) -> np.nda
 
     w_i is proportional to exp(-|x - shift_i|^2 / (2*D*sigma_i^2)) / |x - shift_i|.
     At x exactly equal to some shift_i the weight collapses onto the first
-    such component.
+    such component. A stack of points (..., D) gives weights (..., n).
     """
     x = np.asarray(x, dtype=float)
-    d = x.size
-    dists = np.array([np.linalg.norm(x - c.shift) for c in components])
-    w = np.zeros(len(components))
-    if np.any(dists == 0.0):
-        w[int(np.argmin(dists))] = 1.0
-        return w
-    for i, c in enumerate(components):
-        w[i] = np.exp(-dists[i] ** 2 / (2.0 * d * c.sigma**2)) / dists[i]
-    total = w.sum()
-    if total == 0.0:  # all weights underflowed; fall back to the nearest center
-        w[int(np.argmin(dists))] = 1.0
-        return w
-    return w / total
+    d = x.shape[-1]
+    diff = x[..., None, :] - np.array([c.shift for c in components])  # (..., n, D)
+    # sqrt of one dot per point and center: the same call np.linalg.norm makes
+    dists = np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
+    scale = np.array([2.0 * d * c.sigma**2 for c in components])
+    # at a center, or where every weight underflows, all weight goes to the nearest
+    nearest = (dists == 0.0).any(axis=-1, keepdims=True)
+    w = np.exp(-_scalar_square(dists) / scale)
+    np.divide(w, dists, out=w, where=~nearest)
+    total = w.sum(axis=-1, keepdims=True)
+    nearest |= total == 0.0
+    np.divide(w, total, out=w, where=~nearest)
+    if nearest.any():
+        rows = nearest[..., 0]
+        w[rows] = np.eye(len(components))[np.argmin(dists[rows], axis=-1)]
+    return w
 
 
 def composition(components: Sequence[CompositionComponent]) -> Objective:
@@ -182,11 +222,14 @@ def composition(components: Sequence[CompositionComponent]) -> Objective:
     def objective(x) -> float:
         x = np.asarray(x, dtype=float)
         w = composition_weights(x, comps)
+        active = w != 0.0  # a zero weight skips its component
+        used = active.reshape(-1, len(comps)).any(axis=0).tolist()
         total = 0.0
-        for wi, c in zip(w, comps):
-            if wi != 0.0:
-                total += wi * (c.objective(x) + c.bias)
-        return float(total)
+        for i, c in enumerate(comps):
+            if used[i]:
+                total = total + np.multiply(w[..., i], c.objective(x) + c.bias,
+                                            out=np.zeros(w.shape[:-1]), where=active[..., i])
+        return _value(total)
 
     return objective
 
@@ -236,16 +279,14 @@ def _schwefel_shifted_rotated(dim: int, rng: np.random.Generator):
     # Map the rotated offset into Schwefel's native domain around its
     # optimizer; the scale keeps every component inside [-500, 500].
     bounds = _default_bounds(dim)
-    shift = _random_shift(rng, bounds)
-    rot = _random_rotation(rng, dim)
+    t = TransformSpec(_random_shift(rng, bounds), _random_rotation(rng, dim))
     span = float(np.max(bounds[:, 1] - bounds[:, 0]))
     scale = 79.0 / (np.sqrt(dim) * span)
 
     def fn(x) -> float:
-        z = SCHWEFEL_OPTIMUM + scale * (rot @ (np.asarray(x, dtype=float) - shift))
-        return schwefel(z)
+        return schwefel(SCHWEFEL_OPTIMUM + scale * apply_transform(x, t))
 
-    return bounds, shift, fn
+    return bounds, t.shift, fn
 
 
 _HYBRID_PARTS = {
@@ -296,7 +337,9 @@ def registry(name: str, dimension: int, seed: int) -> tuple[ObjectiveSpec, Objec
     """Build the named function with seeded shift/rotation data.
 
     The per-function bias is 100 * (1 + registry index), echoing the usual
-    competition convention; it is purely an additive offset.
+    competition convention; it is purely an additive offset. The objective
+    is marked with batch_objective, so optimize evaluates the whole swarm in
+    one call per iteration.
     """
     if name not in _REGISTRY_ORDER:
         raise UnknownFunctionError(
@@ -339,6 +382,7 @@ def registry(name: str, dimension: int, seed: int) -> tuple[ObjectiveSpec, Objec
         optimum=np.asarray(optimum, dtype=float),
     )
 
+    @batch_objective
     def objective(x) -> float:
         return raw(x) + bias
 

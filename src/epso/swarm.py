@@ -9,15 +9,18 @@ mutate a scheduled number of coordinates ("genes") via a randomized
 recombination of gbest and pbest.
 
 Each step is one array update over all rows. The random numbers still come
-row by row from each particle's own stream, and the objective is still called
-once per particle, with a 1-D row, in index order.
+row by row from each particle's own stream. An objective marked with
+batch_objective gets all rows in one call per iteration; any other objective
+is called once per particle, with a 1-D row, in index order.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -28,6 +31,17 @@ from .errors import ConfigError, ContractError, EvaluationError
 Objective = Callable[[np.ndarray], float]
 
 MODES = ("pso", "epso")
+
+
+def batch_objective(fn: Objective) -> Objective:
+    """Mark fn as batch-capable and return it.
+
+    A batch objective also takes a (P, D) array and returns its P row values,
+    each equal to the 1-D call on that row; optimize then evaluates the swarm
+    in one call per iteration instead of one call per particle.
+    """
+    fn.batch = True
+    return fn
 
 
 def _round_half_away(x: float) -> int:
@@ -127,13 +141,58 @@ class SwarmState:
         self.scratch = np.zeros((len(self.positions), 4 * self.positions.shape[1]))
 
 
+class Trace(Sequence):
+    """A gbest curve, read as the list of (iteration, gbest) pairs 0..T.
+
+    The values are held in one read-only float64 array; reading gives Python
+    ints and floats, a slice gives a list, and a trace equals the list of its
+    pairs.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, values):
+        self.values = np.array(values, dtype=float)
+        self.values.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        i = i + len(self) if i < 0 else i
+        if not 0 <= i < len(self):
+            raise IndexError("trace index out of range")
+        return i, float(self.values[i])
+
+    def __iter__(self):
+        return zip(range(len(self)), self.values.tolist())
+
+    def __eq__(self, other):
+        return list(self) == (list(other) if isinstance(other, Trace) else other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass
 class RunResult:
+    """trace may be given as a list of (iteration, gbest) pairs; it is kept as a Trace."""
+
     best_position: np.ndarray
     best_fitness: float
-    trace: list[tuple[int, float]]
+    trace: Trace
     wall_time: float
     seed: int
+
+    def __post_init__(self):
+        if not isinstance(self.trace, Trace):
+            pairs = list(self.trace)
+            if [it for it, _ in pairs] != list(range(len(pairs))):
+                raise ContractError("a trace's iterations must run 0, 1, ..., in order")
+            self.trace = Trace([value for _, value in pairs])
 
 
 class RandomSource:
@@ -283,7 +342,23 @@ def update_bests(swarm: SwarmState, fitness: np.ndarray) -> SwarmState:
 
 
 def _evaluate(objective: Objective, positions: np.ndarray) -> np.ndarray:
-    """One objective call per row, in index order; a failure names its row."""
+    """The objective's value at every row.
+
+    A batch objective gets all rows in one call, which must return shape
+    (P,). If that call raises, the rows are run again one at a time, so the
+    failure names its row as the per-row path does. Any other objective is
+    called once per row, in index order; a failure names its row.
+    """
+    if getattr(objective, "batch", False):
+        try:
+            fitness = np.array(objective(positions), dtype=float)
+        except Exception:  # noqa: BLE001 - the per-row calls below name the failing row
+            pass
+        else:
+            if fitness.shape != (len(positions),):
+                raise ContractError(f"a batch objective must return shape ({len(positions)},), "
+                                    f"got {fitness.shape}")
+            return fitness
     fitness = np.empty(len(positions))
     i = 0
     try:
@@ -365,14 +440,15 @@ def optimize(config: EpsoConfig, objective: Objective, mode: str = "epso") -> Ru
     start = time.perf_counter()
     rng = RandomSource(config.seed)
     swarm = init_swarm(config, objective, rng)
-    trace = [(0, swarm.gbest_fitness)]
+    trace = np.empty(config.max_iterations + 1)
+    trace[0] = swarm.gbest_fitness
     for _ in range(config.max_iterations):
         step(swarm, objective, config, rng, mode=mode)
-        trace.append((swarm.iteration, swarm.gbest_fitness))
+        trace[swarm.iteration] = swarm.gbest_fitness
     return RunResult(
         best_position=swarm.gbest_position.copy(),
         best_fitness=swarm.gbest_fitness,
-        trace=trace,
+        trace=Trace(trace),
         wall_time=time.perf_counter() - start,
         seed=config.seed,
     )

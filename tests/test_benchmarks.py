@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epso import ContractError, UnknownFunctionError, registry
 from epso.benchmarks import (
@@ -274,8 +278,8 @@ REGISTRY_VALUES_D10 = {
 
 def registry_points(spec):
     rng = np.random.default_rng(2024)
-    far = rng.uniform(-100.0, 100.0, (3, 10))
-    near = rng.normal(0.0, 1.0, (2, 10))
+    far = rng.uniform(-100.0, 100.0, (3, spec.dimension))
+    near = rng.normal(0.0, 1.0, (2, spec.dimension))
     return list(far) + [spec.optimum + n for n in near] + [spec.optimum]
 
 
@@ -284,3 +288,239 @@ def test_registry_values_pinned_at_d10(name):
     spec, fn = registry(name, 10, seed=0)
     values = tuple(fn(x) for x in registry_points(spec))
     assert values == REGISTRY_VALUES_D10[name]  # exact, no tolerance
+
+
+# The same six points at D = 2, 30 and 100 (registry seed 0), recorded with the
+# scalar registry that the batched one replaced. None: the hybrid has more
+# parts than D=2 has dimensions, so building its blocks fails.
+REGISTRY_VALUES = {
+    2: {
+        'elliptic_rotated': (
+            2039475727.881029, 586723813.7895727, 37395744.8669274,
+            969991.1799909621, 3464417.528989644, 100.0,
+        ),
+        'cigar_rotated': (
+            302167699.4265363, 13876878003.64479, 2820687570.8017817,
+            32128.095812243177, 5989.612835352034, 200.0,
+        ),
+        'ackley_shifted_rotated': (
+            320.7122746982101, 320.37825236986316, 321.15434139664916,
+            304.1182314052965, 306.1012482364767, 300.0,
+        ),
+        'rastrigin_shifted_rotated': (
+            7144.974473253951, 4081.9490932688477, 20395.297764868064,
+            426.2709755887456, 431.0246093416901, 400.0,
+        ),
+        'schwefel_shifted_rotated': (
+            509.3818175023141, 608.7491827989325, 572.190043334596,
+            500.0098780303597, 500.037832635688, 500.000025455675,
+        ),
+        'hybrid_1': None,  # hybrid blocks must be non-empty; got sizes [1, 1, 0] for dim 2
+        'hybrid_2': None,  # hybrid blocks must be non-empty; got sizes [0, 0, 1, 1] for dim 2
+        'hybrid_3': None,  # hybrid blocks must be non-empty; got sizes [0, 0, 0, 0, 2] for dim 2
+        'composition_1': (
+            2277194409.1301923, 4798833963.549287, 3832519921.103845,
+            3483792.9913970996, 6385747.593679624, 900.0,
+        ),
+        'composition_2': (
+            7132896798.925604, 753885600.0478973, 9783719778.130613,
+            17602473.917189367, 34434022.75458548, 1000.0,
+        ),
+        'composition_3': (
+            768305935.2186985, 1121683073.6926587, 1805888436.7213218,
+            24887730.243735015, 45487201.0580893, 1100.0,
+        ),
+    },
+    30: {
+        'elliptic_rotated': (
+            25961356628.30997, 2277392527.696204, 27862641486.028664,
+            1713400.429231745, 2826345.5285950378, 100.0,
+        ),
+        'cigar_rotated': (
+            133166277259.64404, 147051820834.24362, 191894618257.9843,
+            28885643.73670045, 24129936.485721007, 200.0,
+        ),
+        'ackley_shifted_rotated': (
+            321.68870296357795, 321.7425036842529, 321.4924444078038,
+            305.51790324146447, 305.50231320803874, 300.0,
+        ),
+        'rastrigin_shifted_rotated': (
+            193415.57221576778, 178475.09434553617, 134459.89794979116,
+            753.4977354390478, 790.5590301979706, 400.0,
+        ),
+        'schwefel_shifted_rotated': (
+            632.8730956446725, 609.1713748190832, 585.8945347828376,
+            500.02250810915393, 500.02127705775274, 500.00038183512333,
+        ),
+        'hybrid_1': (
+            13549225701.838608, 3139021502.9838247, 4891550215.695289,
+            1994547.3084624533, 891671.3673940372, 600.0,
+        ),
+        'hybrid_2': (
+            7105649169.60792, 26679930151.88003, 48668016888.9474,
+            7611537.936766199, 3878178.534762487, 700.0,
+        ),
+        'hybrid_3': (
+            40856239234.1158, 43843444987.99084, 27168551244.81396,
+            14324187.942854805, 6306156.734721744, 800.0,
+        ),
+        'composition_1': (
+            11131808634.776295, 3687999368.2315288, 9919235633.159946,
+            9834722.960009433, 9219225.645448696, 900.0,
+        ),
+        'composition_2': (
+            183518168474.16235, 94458053119.8915, 216335940429.34293,
+            350449733.4389482, 337843315.0467457, 1000.0,
+        ),
+        'composition_3': (
+            37616731944.68211, 36145807593.17423, 37357700103.437614,
+            593928878.6804013, 578762095.7227256, 1100.0,
+        ),
+    },
+    100: {
+        'elliptic_rotated': (
+            71019090924.90594, 47262296583.17733, 25544583319.16392,
+            5440418.841006372, 11863617.96671621, 100.0,
+        ),
+        'cigar_rotated': (
+            433532556785.6375, 607455919963.2351, 432184298454.445,
+            111796773.78662382, 95881630.13756579, 200.0,
+        ),
+        'ackley_shifted_rotated': (
+            321.7652003793925, 321.80168445027715, 321.73142340143363,
+            305.6193303968562, 305.3031291841514, 300.0,
+        ),
+        'rastrigin_shifted_rotated': (
+            575323.5513691808, 606556.3543658449, 428828.4153452106,
+            1537.054318530716, 1546.2379387440033, 400.0,
+        ),
+        'schwefel_shifted_rotated': (
+            614.3645895826849, 595.1459141559753, 603.5439426178273,
+            500.02330591890495, 500.020435485254, 500.00127278374566,
+        ),
+        'hybrid_1': (
+            24146420474.37836, 23225076855.005463, 9968246127.29115,
+            2914875.0207034564, 1792980.703574387, 600.0,
+        ),
+        'hybrid_2': (
+            134126925340.89307, 142677686376.93176, 74681136097.03514,
+            26635155.65025188, 16670865.681324944, 700.0,
+        ),
+        'hybrid_3': (
+            104814384293.53647, 121869108359.95154, 155855843324.0439,
+            23090465.133498542, 15682892.908675665, 800.0,
+        ),
+        'composition_1': (
+            34389688892.935, 46758878219.710236, 59038220131.54736,
+            91885664.15002209, 86121078.34255305, 900.0,
+        ),
+        'composition_2': (
+            610663415501.3639, 568557015024.0143, 631420079524.1329,
+            672899334.6893054, 630467300.8860706, 1000.0,
+        ),
+        'composition_3': (
+            151530041591.03198, 205735521810.17685, 170103652899.44998,
+            2172288937.4759145, 2028556424.5319529, 1100.0,
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("name", available_functions())
+@pytest.mark.parametrize("dim", sorted(REGISTRY_VALUES))
+def test_registry_values_pinned(dim, name):
+    spec, fn = registry(name, dim, seed=0)
+    points = registry_points(spec)
+    expected = REGISTRY_VALUES[dim][name]
+    if expected is None:
+        with pytest.raises(ContractError, match="hybrid blocks must be non-empty"):
+            fn(points[0])
+        return
+    assert tuple(fn(x) for x in points) == expected  # exact, no tolerance
+
+
+# ---------------------------------------------------------------------------
+# stacked input: each row's value is the 1-D value, to the bit
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(available_functions()), st.sampled_from([2, 5, 10, 30, 100]),
+       st.integers(1, 64), st.integers(0, 2**32 - 1))
+def test_stacked_rows_equal_one_point_calls(name, dim, population, seed):
+    if name.startswith("hybrid"):
+        dim = max(dim, 10)  # the hybrids need a few dimensions per part
+    spec, fn = registry(name, dim, seed=seed % 7)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-100.0, 100.0, (population, dim))
+    special = rng.permutation(population)
+    x[special[0]] = spec.optimum  # a composition's first center: the zero-distance branch
+    if population > 1 and name != "schwefel_shifted_rotated":  # far outside Schwefel's domain
+        # every composition weight underflows: the nearest-center fallback
+        x[special[1:3]] = rng.choice([-1.0, 1.0], (len(special[1:3]), dim)) * 1e5
+    values = fn(x)
+    assert isinstance(values, np.ndarray) and values.shape == (population,)
+    assert values.tolist() == [fn(row) for row in x]
+    assert all(type(fn(row)) is float for row in x[:2])
+
+
+def test_stacks_of_any_leading_shape_reduce_the_last_axis():
+    x = np.random.default_rng(4).uniform(-3.0, 3.0, (2, 3, 6))
+    for fn in (elliptic, cigar, ackley, rastrigin, schwefel,
+               hybrid([(rastrigin, 0.5), (cigar, 0.5)])):
+        assert fn(x).shape == (2, 3)
+        assert fn(x).tolist() == [[fn(p) for p in row] for row in x]
+    comps = two_component_symmetric()
+    x4 = x[..., :4].copy()
+    x4[0, 1] = comps[1].shift
+    w = composition_weights(x4, comps)
+    assert w.shape == (2, 3, 2) and w[0, 1].tolist() == [0.0, 1.0]
+    assert w.tolist() == [[composition_weights(p, comps).tolist() for p in row] for row in x4]
+    c = composition(comps)
+    assert c(x4).tolist() == [[c(p) for p in row] for row in x4]
+    t = TransformSpec(np.ones(6), np.eye(6)[::-1])
+    assert np.array_equal(apply_transform(x, t), (x - 1.0)[..., ::-1])
+
+
+def test_composition_far_rows_fall_back_to_the_nearest_center():
+    comps = two_component_symmetric()
+    x = np.array([[1e6, 1e6, 1e6, 1e6], [-1e6, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    w = composition_weights(x, comps)
+    assert w[:2].tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert w[2] == pytest.approx([0.5, 0.5])
+    # a component with zero weight is skipped, so its inf never meets the 0
+    endless = CompositionComponent(lambda p: np.full(np.shape(p)[:-1], np.inf)[()], 5.0, 0.0,
+                                   comps[1].shift)
+    c = composition([comps[0], endless])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = c(np.stack([x[0], endless.shift]))
+    assert values.tolist() == [c(x[0]), np.inf] == [comps[0].objective(x[0]), np.inf]
+
+
+def scalar_composition_weights(x, components):
+    """composition_weights as one point at a time: the reference loop."""
+    dists = np.array([np.linalg.norm(x - c.shift) for c in components])
+    w = np.zeros(len(components))
+    if np.any(dists == 0.0):
+        w[int(np.argmin(dists))] = 1.0
+        return w
+    for i, c in enumerate(components):
+        w[i] = np.exp(-dists[i] ** 2 / (2.0 * x.size * c.sigma**2)) / dists[i]
+    total = w.sum()
+    if total == 0.0:
+        w[int(np.argmin(dists))] = 1.0
+        return w
+    return w / total
+
+
+def test_stacked_forms_match_the_scalar_reference_loops():
+    # a float64 scalar's ** 2 (libm pow) and an array's (v * v) differ in the
+    # last bit for about one value in a thousand; these rows meet such values
+    rng = np.random.default_rng(8)
+    comps = [CompositionComponent(None, sigma, 0.0, rng.uniform(-80.0, 80.0, 3))
+             for sigma in (10.0, 20.0, 30.0)]
+    x = rng.uniform(-100.0, 100.0, (3000, 3))
+    assert composition_weights(x, comps).tolist() == [
+        scalar_composition_weights(p, comps).tolist() for p in x]
+    assert cigar(x).tolist() == [float(p[0] ** 2 + 1e6 * (p[1:] ** 2).sum()) for p in x]
+    assert elliptic(x[:, :1]).tolist() == [float(p[0] ** 2) for p in x]

@@ -326,6 +326,35 @@ def test_cli_bad_swarm_value_exits_2_before_any_run(tmp_path, capsys, monkeypatc
     assert not (tmp_path / "out").exists()
 
 
+# each experiment key with a value of the wrong type
+BAD_EXPERIMENT_VALUES = [
+    ("algorithm", 1), ("runs", "3"), ("runs", 2.0), ("base_seed", "1"), ("base_seed", True),
+    ("out_dir", 5), ("emit_traces", "yes"), ("function", 3), ("dimension", "10"),
+    ("data_path", ["d.csv"]), ("label_col", 0), ("threshold", "0.5"), ("k_folds", "5"),
+    ("k_folds", 5.0), ("normalize", 1),
+]
+
+
+@pytest.mark.parametrize("command", ["bench", "select"])
+@pytest.mark.parametrize("key,value", BAD_EXPERIMENT_VALUES)
+def test_cli_experiment_value_of_wrong_type_exits_2(tmp_path, capsys, monkeypatch,
+                                                    command, key, value):
+    assert {k for k, _ in BAD_EXPERIMENT_VALUES} == harness._EXPERIMENT_KEYS
+
+    def no_run(cfg):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    monkeypatch.chdir(tmp_path)  # out_dir comes from the file here, so no --out
+    save_csv(synth_dataset(12, 4, 2, seed=1), tmp_path / "d.csv")
+    values = {"function": "hybrid_1"} if command == "bench" else {"data_path": "d.csv"}
+    (tmp_path / "c.json").write_text(json.dumps({**values, key: value}))
+    assert main([command, "--config", "c.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be ") and err.endswith(f", got {value!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "d.csv"]
+
+
 def test_cli_select_m_min_above_width_waits_for_the_data(tmp_path, capsys):
     data = tmp_path / "d.csv"
     save_csv(synth_dataset(12, 4, 2, seed=1), data)

@@ -19,11 +19,16 @@ from epso import (
     synth_dataset,
     WrapperConfig,
 )
+from epso.benchmarks import available_functions
 from epso.swarm import (
     RandomSource,
+    RunResult,
     SwarmState,
+    Trace,
+    _evaluate,
     apply_velocity,
     assign_groups,
+    batch_objective,
     inertia_weight,
     init_swarm,
     select_mutation_genes,
@@ -460,6 +465,128 @@ def test_evaluation_error_carries_particle_index():
     with pytest.raises(EvaluationError) as exc:
         optimize(cfg, broken)
     assert exc.value.particle_index == 0
+
+
+# ---------------------------------------------------------------------------
+# batch objectives: one call per iteration, the per-row calls as the adapter
+# ---------------------------------------------------------------------------
+
+def counting_batch(fn):
+    calls = []
+
+    @batch_objective
+    def objective(x):
+        calls.append(np.shape(x))
+        return fn(x)
+
+    return objective, calls
+
+
+def test_batch_objective_gets_one_call_per_iteration():
+    spec, fn = registry("rastrigin_shifted_rotated", 4, seed=0)
+    assert fn.batch is True
+    objective, calls = counting_batch(fn)
+    cfg = make_config(dimension=4, bounds=spec.bounds, population_size=7, max_iterations=5)
+    optimize(cfg, objective)
+    assert calls == [(7, 4)] * 6
+
+
+@pytest.mark.parametrize("mode", ["pso", "epso"])
+@pytest.mark.parametrize("name", available_functions())
+def test_batch_and_per_row_runs_are_identical(name, mode):
+    spec, fn = registry(name, 10, seed=2)
+    cfg = EpsoConfig(dimension=10, bounds=spec.bounds, population_size=20, max_iterations=25,
+                     seed=5, g_pini=0.9, g_pfine=0.4)
+    batch, per_row = optimize(cfg, fn, mode), optimize(cfg, lambda x: fn(x), mode)
+    assert batch.trace == per_row.trace
+    assert batch.best_position.tobytes() == per_row.best_position.tobytes()
+    assert batch.best_fitness == per_row.best_fitness
+
+
+def test_failing_batch_is_rerun_by_row_and_names_the_first_failing_row():
+    def value(x):
+        if x[0] > 2.0:
+            raise RuntimeError(f"boom at {float(x[0])!r}")
+        return sphere(x)
+
+    @batch_objective
+    def batch(x):  # meets the failing rows last first
+        x = np.asarray(x)
+        return value(x) if x.ndim == 1 else np.array([value(row) for row in x[::-1]])
+
+    positions = np.zeros((6, 3))
+    positions[[2, 4], 0] = 3.0, 2.5
+    with pytest.raises(EvaluationError) as per_row_error:
+        _evaluate(value, positions)
+    with pytest.raises(EvaluationError) as batch_error:
+        _evaluate(batch, positions)
+    assert batch_error.value.particle_index == per_row_error.value.particle_index == 2
+    assert str(batch_error.value) == str(per_row_error.value)
+    assert str(batch_error.value) == (
+        "objective evaluation failed for particle 2: RuntimeError('boom at 3.0')")
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (5, 1), (6,), (5, 2)])
+def test_batch_result_of_the_wrong_shape_is_a_contract_error(shape):
+    @batch_objective
+    def wrong(x):
+        return np.zeros(shape) if np.ndim(x) == 2 else 0.0
+
+    with pytest.raises(ContractError, match=r"shape \(5,\)"):
+        optimize(make_config(population_size=5), wrong)
+
+
+def test_non_finite_batch_rows_are_handled_as_per_row():
+    def value(x):
+        if x[0] > 4.0:
+            return float("nan")
+        if x[1] > 4.0:
+            return float("inf")
+        if x[2] > 4.0:
+            return float("-inf")
+        return sphere(x)
+
+    @batch_objective
+    def batch(x):
+        return value(x) if np.ndim(x) == 1 else np.array([value(row) for row in x])
+
+    for mode in ("pso", "epso"):
+        cfg = make_config(population_size=15, max_iterations=30, g_pini=0.8, g_pfine=0.3)
+        a, b = optimize(cfg, batch, mode), optimize(cfg, value, mode)
+        assert a.trace == b.trace and np.isfinite(a.best_fitness)
+        assert a.best_position.tobytes() == b.best_position.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the trace: a list of (iteration, gbest) pairs to its readers
+# ---------------------------------------------------------------------------
+
+def test_trace_reads_as_the_list_of_pairs():
+    pairs = [(0, 3.5), (1, 2.0), (2, 2.0), (3, -1.25)]
+    trace = Trace([v for _, v in pairs])
+    assert trace == pairs and pairs == trace and trace == Trace(trace.values)
+    assert trace != pairs[:-1] and trace != tuple(pairs)
+    assert len(trace) == 4 and list(trace) == pairs
+    assert trace[0] == (0, 3.5) and trace[-1] == (3, -1.25) and trace[-4] == (0, 3.5)
+    assert trace[1:3] == pairs[1:3] and trace[:-1] == pairs[:-1] and trace[::-2] == pairs[::-2]
+    assert all(type(i) is int and type(v) is float for i, v in trace)
+    assert all(type(i) is int and type(v) is float for i, v in [trace[1], trace[-1]])
+    for bad in (4, -5):
+        with pytest.raises(IndexError):
+            trace[bad]
+    with pytest.raises(ValueError):
+        trace.values[0] = 0.0
+    with pytest.raises(TypeError):
+        hash(trace)
+
+
+def test_run_result_keeps_a_list_trace_as_a_trace():
+    run = RunResult(np.zeros(2), 1.0, [(0, 2.0), (1, 1.0)], 0.0, 0)
+    assert isinstance(run.trace, Trace) and run.trace == [(0, 2.0), (1, 1.0)]
+    run = optimize(make_config(max_iterations=1000), sphere)
+    assert run.trace.values.nbytes == 8 * 1001
+    with pytest.raises(ContractError):
+        RunResult(np.zeros(2), 1.0, [(1, 2.0), (2, 1.0)], 0.0, 0)
 
 
 def test_random_source_streams_independent_of_order():
