@@ -139,6 +139,15 @@ def apply_transform(x, t: TransformSpec) -> np.ndarray:
     return np.matmul(t.rotation, (x - t.shift)[..., None])[..., 0]
 
 
+def _block_sizes(fractions, dim: int) -> list[int]:
+    """Contiguous block sizes of a hybrid at dim; the last absorbs the rounding."""
+    sizes = [int(round(f * dim)) for f in fractions[:-1]]
+    sizes.append(dim - sum(sizes))
+    if any(s < 1 for s in sizes):
+        raise ContractError(f"hybrid blocks must be non-empty; got sizes {sizes} for dim {dim}")
+    return sizes
+
+
 def hybrid(parts: Sequence[tuple[Objective, float]]) -> Objective:
     """Split the input into contiguous blocks by fraction and sum the parts.
 
@@ -151,25 +160,11 @@ def hybrid(parts: Sequence[tuple[Objective, float]]) -> Objective:
     if abs(fractions.sum() - 1.0) > 1e-9:
         raise ContractError("hybrid fractions must sum to 1")
 
-    split_cache: dict[int, list[int]] = {}
-
-    def _splits(dim: int) -> list[int]:
-        sizes = split_cache.get(dim)
-        if sizes is None:
-            sizes = [int(round(f * dim)) for f in fractions[:-1]]
-            sizes.append(dim - sum(sizes))
-            if any(s < 1 for s in sizes):
-                raise ContractError(
-                    f"hybrid blocks must be non-empty; got sizes {sizes} for dim {dim}"
-                )
-            split_cache[dim] = sizes
-        return sizes
-
     def objective(z) -> float:
         z = np.asarray(z, dtype=float)
         total = 0.0
         start = 0
-        for (fn, _), size in zip(parts, _splits(z.shape[-1])):
+        for (fn, _), size in zip(parts, _block_sizes(fractions, z.shape[-1])):
             total = total + fn(z[..., start:start + size])
             start += size
         return _value(total)
@@ -275,20 +270,6 @@ def _shifted_rotated(base: Objective, dim: int, rng: np.random.Generator):
     return bounds, t.shift, fn
 
 
-def _schwefel_shifted_rotated(dim: int, rng: np.random.Generator):
-    # Map the rotated offset into Schwefel's native domain around its
-    # optimizer; the scale keeps every component inside [-500, 500].
-    bounds = _default_bounds(dim)
-    t = TransformSpec(_random_shift(rng, bounds), _random_rotation(rng, dim))
-    span = float(np.max(bounds[:, 1] - bounds[:, 0]))
-    scale = 79.0 / (np.sqrt(dim) * span)
-
-    def fn(x) -> float:
-        return schwefel(SCHWEFEL_OPTIMUM + scale * apply_transform(x, t))
-
-    return bounds, t.shift, fn
-
-
 _HYBRID_PARTS = {
     "hybrid_1": [(ackley, 0.3), (rastrigin, 0.3), (elliptic, 0.4)],
     "hybrid_2": [(elliptic, 0.2), (cigar, 0.2), (ackley, 0.3), (rastrigin, 0.3)],
@@ -321,6 +302,9 @@ _REGISTRY_ORDER = [
     "composition_3",
 ]
 
+# the least dimension each base function accepts; the others accept any D >= 1
+_MIN_DIMENSION = {cigar: 2}
+
 _BASE_BY_NAME = {
     "elliptic_rotated": elliptic,
     "cigar_rotated": cigar,
@@ -333,13 +317,32 @@ def available_functions() -> tuple[str, ...]:
     return tuple(_REGISTRY_ORDER)
 
 
+def _check_part_dimensions(name: str, dimension: int) -> None:
+    """ContractError if a base function of the entry gets fewer dimensions
+    than it accepts: an empty hybrid block, or cigar with one dimension."""
+    if name in _HYBRID_PARTS:
+        bases, fractions = zip(*_HYBRID_PARTS[name])
+        sizes = _block_sizes(np.array(fractions, dtype=float), dimension)
+    elif name in _COMPOSITION_PARTS:
+        bases = [base for base, _, _ in _COMPOSITION_PARTS[name]]
+        sizes = [dimension] * len(bases)
+    else:
+        bases, sizes = [_BASE_BY_NAME.get(name, schwefel)], [dimension]
+    for base, size in zip(bases, sizes):
+        least = _MIN_DIMENSION.get(base, 1)
+        if size < least:
+            raise ContractError(f"{name} at dimension {dimension} gives {base.__name__} {size}"
+                                f" dimension(s); it needs {least}")
+
+
 def registry(name: str, dimension: int, seed: int) -> tuple[ObjectiveSpec, Objective]:
     """Build the named function with seeded shift/rotation data.
 
     The per-function bias is 100 * (1 + registry index), echoing the usual
     competition convention; it is purely an additive offset. The objective
     is marked with batch_objective, so optimize evaluates the whole swarm in
-    one call per iteration.
+    one call per iteration. A dimension too small for one of its base
+    functions (a hybrid block, or cigar below 2) is a ContractError here.
     """
     if name not in _REGISTRY_ORDER:
         raise UnknownFunctionError(
@@ -347,6 +350,7 @@ def registry(name: str, dimension: int, seed: int) -> tuple[ObjectiveSpec, Objec
         )
     if dimension < 1:
         raise ContractError("dimension must be positive")
+    _check_part_dimensions(name, dimension)
     index = _REGISTRY_ORDER.index(name)
     bias = 100.0 * (index + 1)
     rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(index,)))
@@ -354,7 +358,11 @@ def registry(name: str, dimension: int, seed: int) -> tuple[ObjectiveSpec, Objec
     if name in _BASE_BY_NAME:
         bounds, optimum, raw = _shifted_rotated(_BASE_BY_NAME[name], dimension, rng)
     elif name == "schwefel_shifted_rotated":
-        bounds, optimum, raw = _schwefel_shifted_rotated(dimension, rng)
+        # map the rotated offset into Schwefel's domain around its optimizer;
+        # the scale keeps every component inside [-500, 500]
+        scale = 79.0 / (np.sqrt(dimension) * (DEFAULT_HIGH - DEFAULT_LOW))
+        bounds, optimum, raw = _shifted_rotated(
+            lambda z: schwefel(SCHWEFEL_OPTIMUM + scale * z), dimension, rng)
     elif name in _HYBRID_PARTS:
         inner = hybrid(_HYBRID_PARTS[name])
         bounds, optimum, raw = _shifted_rotated(inner, dimension, rng)

@@ -18,7 +18,7 @@ from .errors import ContractError, DataError
 
 @dataclass(frozen=True)
 class Dataset:
-    """An immutable feature matrix with dense integer class labels."""
+    """An immutable, finite feature matrix with dense integer class labels."""
 
     features: np.ndarray      # (n_samples, n_features) float
     labels: np.ndarray        # (n_samples,) int, dense 0..C-1
@@ -34,6 +34,10 @@ class Dataset:
             raise DataError("labels must have one entry per observation")
         if len(self.feature_names) != x.shape[1]:
             raise DataError("feature_names must have one entry per feature")
+        if not np.isfinite(x).all():
+            i, j = np.argwhere(~np.isfinite(x))[0]
+            raise DataError(f"non-finite feature value {x[i, j]} in observation {i} "
+                            f"(from 0), column {self.feature_names[j]!r}")
         counts = np.bincount(y) if y.size else np.empty(0)
         if counts.size < 2 or np.any(counts == 0):
             raise DataError("need at least 2 classes, each with >= 1 observation")

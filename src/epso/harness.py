@@ -15,11 +15,7 @@ import numpy as np
 from .benchmarks import registry
 from .datasets import complexity_index, load_csv, normalize_minmax
 from .errors import ConfigError, ContractError
-from .feature_selection import (
-    WrapperConfig,
-    position_bounds,
-    select_features,
-)
+from .feature_selection import WrapperConfig, position_bounds, select_features
 from .swarm import EpsoConfig, RunResult, optimize
 
 TASKS = ("benchmark", "feature-selection")
@@ -181,85 +177,70 @@ class ExperimentReport:
     traces: dict[str, list[RunResult]]
 
 
+def _benchmark_setup(cfg: ExperimentConfig):
+    """The registry function's dimension and bounds, a seeded run giving
+    (RunResult, run record), and the summary row of an algorithm's records."""
+    spec, objective = registry(cfg.function, cfg.dimension, cfg.base_seed)
+
+    def run(ec: EpsoConfig, algo: str):
+        r = optimize(ec, objective, mode=algo)
+        return r, {"seed": r.seed, "best_fitness": r.best_fitness, "time_sec": r.wall_time}
+
+    def row(algo: str, records: list[dict]) -> dict:
+        stats = summarize([r["best_fitness"] for r in records])
+        return {"function": cfg.function, "algorithm": algo, **asdict(stats)}
+
+    return cfg.dimension, spec.bounds, run, row
+
+
+def _selection_setup(cfg: ExperimentConfig):
+    """As _benchmark_setup, for wrapper selection on the loaded dataset."""
+    data = load_csv(cfg.data_path, label_column=cfg.label_col)
+    if cfg.normalize:
+        data = normalize_minmax(data)
+    wrapper_cfg = WrapperConfig(threshold=cfg.threshold, k_folds=cfg.k_folds)
+
+    def run(ec: EpsoConfig, algo: str):
+        r = select_features(data, ec, wrapper_cfg, mode=algo)
+        return r.run, {"seed": ec.seed, "accuracy": r.accuracy, "features": r.mask.count,
+                       "time_sec": r.wall_time}
+
+    def row(algo: str, records: list[dict]) -> dict:
+        # the best run: highest accuracy, then fewest features, then the first
+        best = min(records, key=lambda r: (-r["accuracy"], r["features"]))
+        return {
+            "dataset": data.name, "cfo": round(complexity_index(data)), "algorithm": algo,
+            "features": best["features"], "accuracy": best["accuracy"],
+            "std": summarize([r["accuracy"] for r in records]).std,
+            "time_sec": float(np.mean([r["time_sec"] for r in records])),
+        }
+
+    return data.n_features, position_bounds(data.n_features), run, row
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute cfg.runs independent seeded runs per algorithm.
 
     PSO and EPSO receive the identical seed sequence base_seed..base_seed+runs-1,
-    so run i of each algorithm starts from the same initial population.
+    so run i of each algorithm starts from the same initial population. Only
+    the setup depends on the task; each row summarizes its algorithm's records.
     """
+    setup = _benchmark_setup if cfg.task == "benchmark" else _selection_setup
+    dimension, bounds, run, row = setup(cfg)
     rows: list[dict] = []
     run_records: dict[str, list[dict]] = {}
     traces: dict[str, list[RunResult]] = {}
-
-    if cfg.task == "benchmark":
-        spec, objective = registry(cfg.function, cfg.dimension, cfg.base_seed)
-        for algo in cfg.algorithms():
-            results = []
-            for i in range(cfg.runs):
-                ec = cfg.swarm_config(cfg.dimension, spec.bounds, cfg.base_seed + i)
-                results.append(optimize(ec, objective, mode=algo))
-            stats = summarize([r.best_fitness for r in results])
-            rows.append({
-                "function": cfg.function,
-                "algorithm": algo,
-                "mean": stats.mean,
-                "median": stats.median,
-                "std": stats.std,
-                "best": stats.best,
-                "worst": stats.worst,
-            })
-            run_records[algo] = [
-                {"seed": r.seed, "best_fitness": r.best_fitness, "time_sec": r.wall_time}
-                for r in results
-            ]
-            traces[algo] = results
-    else:
-        data = load_csv(cfg.data_path, label_column=cfg.label_col)
-        if cfg.normalize:
-            data = normalize_minmax(data)
-        wrapper_cfg = WrapperConfig(threshold=cfg.threshold, k_folds=cfg.k_folds)
-        bounds = position_bounds(data.n_features)
-        cfo = complexity_index(data)
-        for algo in cfg.algorithms():
-            results = []
-            for i in range(cfg.runs):
-                ec = cfg.swarm_config(data.n_features, bounds, cfg.base_seed + i)
-                results.append(select_features(data, ec, wrapper_cfg, mode=algo))
-            accuracies = [r.accuracy for r in results]
-            best_i = min(
-                range(len(results)),
-                key=lambda i: (-results[i].accuracy, results[i].mask.count, i),
-            )
-            best = results[best_i]
-            rows.append({
-                "dataset": data.name,
-                "cfo": round(cfo),
-                "algorithm": algo,
-                "features": best.mask.count,
-                "accuracy": best.accuracy,
-                "std": summarize(accuracies).std,
-                "time_sec": float(np.mean([r.wall_time for r in results])),
-            })
-            run_records[algo] = [
-                {
-                    "seed": cfg.base_seed + i,
-                    "accuracy": r.accuracy,
-                    "features": r.mask.count,
-                    "time_sec": r.wall_time,
-                }
-                for i, r in enumerate(results)
-            ]
-            traces[algo] = [r.run for r in results]
+    seeds = range(cfg.base_seed, cfg.base_seed + cfg.runs)
+    for algo in cfg.algorithms():
+        results = [run(cfg.swarm_config(dimension, bounds, seed), algo) for seed in seeds]
+        traces[algo] = [r for r, _ in results]
+        run_records[algo] = [record for _, record in results]
+        rows.append(row(algo, run_records[algo]))
 
     config = asdict(cfg)
     config.update(config.pop("swarm"))
-    return ExperimentReport(
-        task=cfg.task,
-        config=config,
-        rows=rows,
-        runs=run_records,
-        traces=traces,
-    )
+    return ExperimentReport(task=cfg.task, config=config, rows=rows, runs=run_records,
+                            traces=traces)
 
 
 def emit_report(report: ExperimentReport, out_dir) -> list[Path]:

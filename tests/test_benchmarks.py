@@ -218,7 +218,7 @@ def test_registry_pure_repeat_evaluation():
 
 def test_registry_shift_within_central_band():
     for name in available_functions():
-        spec, _ = registry(name, 8, seed=9)
+        spec, _ = registry(name, 9, seed=9)  # at D=8 a hybrid_3 block would be empty
         lo, hi = spec.bounds[:, 0], spec.bounds[:, 1]
         mid, half = (lo + hi) / 2, 0.4 * (hi - lo)
         assert np.all(spec.optimum >= mid - half) and np.all(spec.optimum <= mid + half)
@@ -292,7 +292,7 @@ def test_registry_values_pinned_at_d10(name):
 
 # The same six points at D = 2, 30 and 100 (registry seed 0), recorded with the
 # scalar registry that the batched one replaced. None: the hybrid has more
-# parts than D=2 has dimensions, so building its blocks fails.
+# parts than D=2 has dimensions, so registry refuses to build it.
 REGISTRY_VALUES = {
     2: {
         'elliptic_rotated': (
@@ -429,14 +429,33 @@ REGISTRY_VALUES = {
 @pytest.mark.parametrize("name", available_functions())
 @pytest.mark.parametrize("dim", sorted(REGISTRY_VALUES))
 def test_registry_values_pinned(dim, name):
-    spec, fn = registry(name, dim, seed=0)
-    points = registry_points(spec)
     expected = REGISTRY_VALUES[dim][name]
     if expected is None:
         with pytest.raises(ContractError, match="hybrid blocks must be non-empty"):
-            fn(points[0])
+            registry(name, dim, seed=0)
         return
-    assert tuple(fn(x) for x in points) == expected  # exact, no tolerance
+    spec, fn = registry(name, dim, seed=0)
+    assert tuple(fn(x) for x in registry_points(spec)) == expected  # exact, no tolerance
+
+
+@pytest.mark.parametrize("name", available_functions())
+def test_registry_builds_only_dimensions_every_part_accepts(name):
+    rng = np.random.default_rng(5)
+    for dim in range(1, 13):
+        try:
+            spec, fn = registry(name, dim, seed=0)
+        except ContractError:
+            continue
+        # a random point reaches every composition component, the optimum only the first
+        for x in (spec.optimum, rng.uniform(-100.0, 100.0, dim)):
+            assert np.isfinite(fn(x)), (name, dim)
+
+
+def test_registry_rejects_a_cigar_block_of_one_dimension():
+    for name, dim in [("hybrid_2", 5), ("hybrid_3", 5), ("cigar_rotated", 1),
+                      ("composition_2", 1), ("composition_3", 1)]:
+        with pytest.raises(ContractError, match=f"{name} at dimension {dim} gives cigar 1"):
+            registry(name, dim, seed=0)
 
 
 # ---------------------------------------------------------------------------

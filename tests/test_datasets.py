@@ -225,3 +225,14 @@ def test_synth_parameter_validation():
 def test_dataset_rejects_single_class():
     with pytest.raises(DataError):
         Dataset(np.zeros((3, 2)), np.zeros(3, dtype=int), ("a", "b"), "t")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_features_naming_the_first(value):
+    x = np.zeros((4, 3))
+    x[2, 1] = value
+    x[3, 0] = np.nan  # a later one is not named
+    with pytest.raises(DataError) as exc:
+        Dataset(x, np.array([0, 1, 0, 1]), ("a", "b", "c"), "t")
+    assert str(exc.value) == (
+        f"non-finite feature value {value} in observation 2 (from 0), column 'b'")

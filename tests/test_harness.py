@@ -1,7 +1,10 @@
 import csv
 import json
 import math
+import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from epso.harness import (
     parse_config,
     run_experiment,
 )
-from epso import cli, harness
+from epso import cli, feature_selection, harness
 from epso.cli import main
 from epso.swarm import RunResult
 
@@ -210,6 +213,49 @@ def test_emit_trace_is_full_curve(tmp_path):
     )
 
 
+# golden reports: every file that one bench and one select run write, recorded
+# before the two task branches of run_experiment became one run loop
+
+GOLDEN_REPORTS = Path(__file__).with_name("golden_reports.json")
+
+
+def masked(path) -> str:
+    """The file's text (line ends kept), with time_sec and the paths as "*"."""
+    text = path.read_bytes().decode()
+    if path.name == "report.json":
+        return re.sub(r'("(?:time_sec|out_dir|data_path)": )[^,\n]+', r'\1"*"', text)
+    head, body = text.split("\r\n", 1)
+    if head == ",".join(SELECT_CSV_COLUMNS):  # the last column is time_sec
+        return head + "\r\n" + re.sub(r",[^,\r\n]*(?=\r\n)", ",*", body)
+    return text
+
+
+def golden_outputs(tmp_path) -> dict:
+    data = tmp_path / "d.csv"
+    save_csv(synth_dataset(40, 12, 3, class_count=3, seed=2, separation=1.0), data)
+    groups = tmp_path / "groups.json"  # group 2 acts from the first iteration
+    groups.write_text(json.dumps({"g_pini": 0.8, "g_pfine": 0.3}))
+    common = ["--config", str(groups), "--population", "6", "--iterations", "5", "--trace"]
+    argvs = {
+        "bench": ["bench", "--function", "hybrid_2", "--dim", "10", "--runs", "2",
+                  "--seed", "4"],
+        "select": ["select", "--data", str(data), "--runs", "3", "--folds", "3"],
+    }
+    outputs = {}
+    for name, argv in argvs.items():
+        out = tmp_path / name
+        assert main(argv + common + ["--out", str(out)]) == 0
+        outputs[name] = {p.name: masked(p) for p in sorted(out.iterdir())}
+    return outputs
+
+
+def test_reports_and_traces_match_the_golden_files(tmp_path, capsys):
+    expected = json.loads(GOLDEN_REPORTS.read_text())
+    assert golden_outputs(tmp_path) == expected
+    assert len(expected["bench"]) == 2 + 4 and len(expected["select"]) == 2 + 6
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------
@@ -276,6 +322,59 @@ def test_cli_error_paths(tmp_path, capsys):
     assert main(["select", "--data", str(tmp_path / "absent.csv")]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_cli_dimension_too_small_for_a_hybrid_exits_2_before_any_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["bench", "--function", "hybrid_1", "--dim", "2", "--runs", "1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: hybrid blocks must be non-empty; got sizes [1, 1, 0] for dim 2\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_cli_non_finite_data_cell_exits_2(tmp_path, capsys, cell):
+    data = tmp_path / "d.csv"
+    data.write_text(f"x,y,label\n1,2,A\n3,4,B\n5,{cell},A\n6,7,B\n")
+    out = tmp_path / "out"
+    assert main(["select", "--data", str(data), "--runs", "1", "--folds", "2",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: non-finite feature value {cell} in observation 2 (from 0), column 'y'\n"
+    assert not out.exists()
+
+
+def test_cli_select_calls_each_layer_by_its_module_name(tmp_path, capsys, monkeypatch):
+    # perfbench times the select chain by swapping these names; each must be
+    # looked up when it is called, and the swaps must not change the report
+    d = synth_dataset(30, 8, 2, seed=3)
+    save_csv(d, tmp_path / "d.csv")
+    argv = ["select", "--data", str(tmp_path / "d.csv"), "--runs", "2", "--population", "5",
+            "--iterations", "3", "--folds", "3", "--out"]
+    assert main(argv + [str(tmp_path / "plain")]) == 0
+    calls = {}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in [(harness, "load_csv"), (harness, "normalize_minmax"),
+                         (feature_selection, "stratified_folds"),
+                         (feature_selection, "wrapper_objective"),
+                         (feature_selection, "optimize")]:
+        counting(module, name)
+    assert main(argv + [str(tmp_path / "patched")]) == 0
+    capsys.readouterr()
+    assert calls == {"load_csv": 1, "normalize_minmax": 1, "stratified_folds": 4,
+                     "wrapper_objective": 4, "optimize": 4}  # 2 runs of each algorithm
+    for name in ("report.csv", "report.json"):
+        assert masked(tmp_path / "patched" / name) == masked(tmp_path / "plain" / name)
 
 
 def test_cli_unknown_function_message_is_unquoted(capsys):
@@ -427,3 +526,8 @@ def test_cli_default_bench_config_is_flat_and_unchanged(tmp_path, capsys, monkey
     capsys.readouterr()
     config = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
     assert json.dumps(config, sort_keys=True) == json.dumps(DEFAULT_BENCH_CONFIG, sort_keys=True)
+
+
+if __name__ == "__main__":  # PYTHONPATH=src python tests/test_harness.py re-records the goldens
+    with tempfile.TemporaryDirectory() as tmp:
+        GOLDEN_REPORTS.write_text(json.dumps(golden_outputs(Path(tmp)), indent=1) + "\n")
