@@ -8,10 +8,15 @@ group (standard updates) and a growing exploratory group whose particles
 mutate a scheduled number of coordinates ("genes") via a randomized
 recombination of gbest and pbest.
 
-Each step is one array update over all rows. The random numbers still come
-row by row from each particle's own stream. An objective marked with
-batch_objective gets all rows in one call per iteration; any other objective
-is called once per particle, with a 1-D row, in index order.
+Each step is one array update over all rows. A run draws from one
+np.random.Generator seeded with config.seed, in blocks whose shapes do not
+depend on the mode or the group sizes: init_swarm draws one P x D uniform
+block, and every step draws r1 | r2, the gene keys, then alpha | beta (see
+step). Row i always reads row i of each block, so PSO and EPSO consume the
+same numbers and no result depends on the order rows are evaluated in. An
+objective marked with batch_objective gets all rows in one call per
+iteration; any other objective is called once per particle, with a 1-D row,
+in index order.
 """
 
 from __future__ import annotations
@@ -134,11 +139,12 @@ class SwarmState:
     gbest_fitness: float
     iteration: int = 0
     # step's work space, reused every iteration so large swarms make no new
-    # arrays: the r1 | r2 draws and the two work arrays of the standard update
+    # arrays: r1, r2, the gene keys and the two work arrays of the standard
+    # update, each (P, D); the three draws are contiguous so one call fills them
     scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.scratch = np.zeros((len(self.positions), 4 * self.positions.shape[1]))
+        self.scratch = np.zeros((5,) + self.positions.shape)
 
 
 class Trace(Sequence):
@@ -193,29 +199,6 @@ class RunResult:
             if [it for it, _ in pairs] != list(range(len(pairs))):
                 raise ContractError("a trace's iterations must run 0, 1, ..., in order")
             self.trace = Trace([value for _, value in pairs])
-
-
-class RandomSource:
-    """Deterministic per-particle random streams derived from one master seed.
-
-    Each particle draws from its own stream, so results cannot depend on the
-    order in which particles are evaluated, and a mode that skips some draws
-    for one particle never shifts the draws of another.
-    """
-
-    def __init__(self, master_seed: int):
-        if int(master_seed) < 0:
-            raise ConfigError("seed must be a non-negative integer")
-        self.master_seed = int(master_seed)
-        self._streams: dict[int, np.random.Generator] = {}
-
-    def stream(self, index: int) -> np.random.Generator:
-        gen = self._streams.get(index)
-        if gen is None:
-            ss = np.random.SeedSequence(self.master_seed, spawn_key=(index,))
-            gen = np.random.default_rng(ss)
-            self._streams[index] = gen
-        return gen
 
 
 def inertia_weight(iteration: int, config: EpsoConfig) -> float:
@@ -281,13 +264,18 @@ def mutation_gene_count(iteration: int, config: EpsoConfig) -> int:
     return min(max(_round_half_away(raw), config.m_min), config.m_max)
 
 
-def select_mutation_genes(dimension: int, m: int, rng) -> np.ndarray:
-    """m distinct coordinate indices, uniform without replacement, sorted."""
-    if m > dimension:
-        raise ContractError(f"cannot select {m} genes from {dimension} dimensions")
+def select_mutation_genes(keys: np.ndarray, m: int) -> np.ndarray:
+    """Each row's m genes: the sorted positions of its m smallest keys.
+
+    keys is one row (D,) or a block of rows (k, D). With uniform keys, each
+    row's genes are a uniform m-subset of its D coordinates.
+    """
+    d = keys.shape[-1]
+    if m > d:
+        raise ContractError(f"cannot select {m} genes from {d} dimensions")
     if m == 0:
-        return np.empty(0, dtype=np.intp)
-    return np.sort(rng.choice(dimension, size=m, replace=False))
+        return np.empty(keys.shape[:-1] + (0,), dtype=np.intp)
+    return np.sort(np.argpartition(keys, m - 1, axis=-1)[..., :m], axis=-1)
 
 
 def update_velocity_extended(
@@ -369,11 +357,10 @@ def _evaluate(objective: Objective, positions: np.ndarray) -> np.ndarray:
     return fitness
 
 
-def init_swarm(config: EpsoConfig, objective: Objective, rng: RandomSource) -> SwarmState:
-    """Uniform random positions within bounds, zero velocities, pbest = start."""
-    positions = np.empty((config.population_size, config.dimension))
-    for i, row in enumerate(positions):
-        row[:] = rng.stream(i).uniform(config.bounds[:, 0], config.bounds[:, 1])
+def init_swarm(config: EpsoConfig, objective: Objective, rng: np.random.Generator) -> SwarmState:
+    """Uniform random positions within bounds (one P x D draw), zero velocities, pbest = start."""
+    positions = rng.uniform(config.bounds[:, 0], config.bounds[:, 1],
+                            (config.population_size, config.dimension))
     fitness = _evaluate(objective, positions)
     fitness[~np.isfinite(fitness)] = np.inf
     best = int(np.argmin(fitness))
@@ -381,37 +368,39 @@ def init_swarm(config: EpsoConfig, objective: Objective, rng: RandomSource) -> S
                       positions[best].copy(), float(fitness[best]))
 
 
-def step(swarm: SwarmState, objective: Objective, config: EpsoConfig, rng: RandomSource,
-         mode: str = "epso") -> SwarmState:
+def step(swarm: SwarmState, objective: Objective, config: EpsoConfig,
+         rng: np.random.Generator, mode: str = "epso") -> SwarmState:
     """Advance the swarm by one iteration (in place; returns the same state).
 
-    Group sizes are recomputed from the pre-step iteration counter. Group 1
-    draws r1 then r2 from each row's stream; group 2 draws its genes, then
-    alpha, then beta. All rows move, are re-evaluated, and then update their
-    bests together.
+    Group sizes are recomputed from the pre-step iteration counter. Whatever
+    the mode and the group sizes, the step draws, in this order: r1 and r2 as
+    one (2, P, D) block, one P x D block of uniform gene keys, and alpha and
+    beta as one (2, P, m) block on [-1, 1], where m is the scheduled gene
+    count. Group-1 rows take the standard update from their rows of r1 and
+    r2. A group-2 row takes the extended update instead: the m genes holding
+    its smallest keys are mutated with its rows of alpha and beta, and its
+    other coordinates keep their velocity. All rows move, are re-evaluated,
+    and then update their bests together.
     """
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     if swarm.iteration >= config.max_iterations:
         raise ContractError("swarm already reached max_iterations")
     t = swarm.iteration
-    n, d = swarm.positions.shape
+    n = len(swarm.positions)
     limit = config.velocity_limit
     g1 = n if mode == "pso" else group1_size(t, config)
-    group1, group2 = assign_groups(swarm.pbest_fitness, g1)
+    _, group2 = assign_groups(swarm.pbest_fitness, g1)
 
-    for i in group1.tolist():  # group-2 rows keep stale draws; their standard result is replaced
-        rng.stream(i).random(out=swarm.scratch[i, :2 * d])  # r1 then r2
-    r1, r2, scaled, diff = (swarm.scratch[:, k * d:(k + 1) * d] for k in range(4))
+    r1, r2, keys, scaled, diff = swarm.scratch
+    rng.random(out=swarm.scratch[:3])  # the r1 | r2 block, then the keys block
+    m = mutation_gene_count(t, config)
+    alpha, beta = rng.uniform(-1.0, 1.0, (2, n, m))
     mutated = None
-    if group2.size:  # each stream draws its genes, then alpha, then beta
-        m = mutation_gene_count(t, config)
-        streams = [rng.stream(i) for i in group2.tolist()]
-        genes = np.array([select_mutation_genes(d, m, s) for s in streams])
-        alpha = np.array([s.uniform(-1.0, 1.0, m) for s in streams])
-        beta = np.array([s.uniform(-1.0, 1.0, m) for s in streams])
-        mutated = update_velocity_extended(swarm.velocities[group2], swarm.pbest_positions[group2],
-                                           swarm.gbest_position, genes, alpha, beta, limit)
+    if group2.size:
+        mutated = update_velocity_extended(
+            swarm.velocities[group2], swarm.pbest_positions[group2], swarm.gbest_position,
+            select_mutation_genes(keys[group2], m), alpha[group2], beta[group2], limit)
 
     update_velocity_standard(
         swarm.positions, swarm.velocities, swarm.pbest_positions, swarm.gbest_position,
@@ -438,7 +427,7 @@ def optimize(config: EpsoConfig, objective: Objective, mode: str = "epso") -> Ru
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     start = time.perf_counter()
-    rng = RandomSource(config.seed)
+    rng = np.random.default_rng(config.seed)
     swarm = init_swarm(config, objective, rng)
     trace = np.empty(config.max_iterations + 1)
     trace[0] = swarm.gbest_fitness

@@ -38,7 +38,7 @@ from epso.benchmarks import (
 )
 from epso.datasets import cfo_index, save_csv
 from epso.feature_selection import binarize, knn_classify
-from epso.swarm import RandomSource, assign_groups, init_swarm, step
+from epso.swarm import assign_groups, init_swarm, step
 from epso.cli import main
 
 
@@ -98,7 +98,7 @@ def test_acceptance_03_monotonicity_all_functions():
                 dimension=10, bounds=spec.bounds, population_size=15,
                 max_iterations=20, seed=run,
             )
-            rng = RandomSource(cfg.seed)
+            rng = np.random.default_rng(cfg.seed)
             swarm = init_swarm(cfg, fn, rng)
             prev = swarm.gbest_fitness
             lo, hi = cfg.bounds[:, 0], cfg.bounds[:, 1]

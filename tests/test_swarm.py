@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -21,7 +22,6 @@ from epso import (
 )
 from epso.benchmarks import available_functions
 from epso.swarm import (
-    RandomSource,
     RunResult,
     SwarmState,
     Trace,
@@ -219,16 +219,16 @@ def test_mutation_gene_count_non_decreasing_and_bounded():
 # ---------------------------------------------------------------------------
 
 def test_select_mutation_genes_forced_cases():
-    rng = np.random.default_rng(0)
-    assert set(select_mutation_genes(5, 5, rng)) == {0, 1, 2, 3, 4}
-    assert select_mutation_genes(5, 0, rng).size == 0
+    keys = np.random.default_rng(0).random(5)
+    assert set(select_mutation_genes(keys, 5)) == {0, 1, 2, 3, 4}
+    assert select_mutation_genes(keys, 0).size == 0
     with pytest.raises(ContractError):
-        select_mutation_genes(5, 6, rng)
+        select_mutation_genes(keys, 6)
 
 
 def test_select_mutation_genes_reproducible_and_distinct():
-    a = select_mutation_genes(100, 10, np.random.default_rng(7))
-    b = select_mutation_genes(100, 10, np.random.default_rng(7))
+    a = select_mutation_genes(np.random.default_rng(7).random(100), 10)
+    b = select_mutation_genes(np.random.default_rng(7).random(100), 10)
     assert np.array_equal(a, b)
     assert len(set(a.tolist())) == 10
 
@@ -385,7 +385,7 @@ def test_step_pure_pso_equivalence_bit_exact():
 
 def test_step_single_particle_gbest_is_pbest():
     cfg = make_config(population_size=1, g_pini=1.0, g_pfine=1.0, max_iterations=5)
-    rng = RandomSource(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     swarm = init_swarm(cfg, sphere, rng)
     step(swarm, sphere, cfg, rng, mode="epso")
     assert swarm.gbest_fitness == swarm.pbest_fitness[0]
@@ -395,7 +395,7 @@ def test_step_deterministic_re_execution():
     cfg = make_config(population_size=8, max_iterations=10, seed=99)
     states = []
     for _ in range(2):
-        rng = RandomSource(cfg.seed)
+        rng = np.random.default_rng(cfg.seed)
         swarm = init_swarm(cfg, sphere, rng)
         for _ in range(cfg.max_iterations):
             step(swarm, sphere, cfg, rng)
@@ -405,7 +405,7 @@ def test_step_deterministic_re_execution():
 
 def test_step_past_max_iterations_rejected():
     cfg = make_config(max_iterations=1)
-    rng = RandomSource(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     swarm = init_swarm(cfg, sphere, rng)
     step(swarm, sphere, cfg, rng)
     with pytest.raises(ContractError):
@@ -437,7 +437,7 @@ def test_optimize_trace_shape_and_monotonicity():
 def test_positions_and_velocities_stay_bounded(seed, mode):
     cfg = make_config(dimension=4, bounds=[[-3.0, 5.0]] * 4, population_size=10,
                       max_iterations=25, seed=seed, g_pini=0.9, g_pfine=0.4)
-    rng = RandomSource(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     swarm = init_swarm(cfg, sphere, rng)
     limit = cfg.velocity_limit
     for _ in range(cfg.max_iterations):
@@ -589,19 +589,9 @@ def test_run_result_keeps_a_list_trace_as_a_trace():
         RunResult(np.zeros(2), 1.0, [(1, 2.0), (2, 1.0)], 0.0, 0)
 
 
-def test_random_source_streams_independent_of_order():
-    a = RandomSource(123)
-    b = RandomSource(123)
-    x1 = a.stream(0).random(5)
-    x2 = a.stream(1).random(5)
-    y2 = b.stream(1).random(5)  # drawn before stream 0
-    y1 = b.stream(0).random(5)
-    assert np.array_equal(x1, y1) and np.array_equal(x2, y2)
-
-
 # ---------------------------------------------------------------------------
-# golden runs: exact traces and best positions, recorded with the
-# per-particle implementation this array update replaced
+# golden runs: exact traces and best positions, recorded from the block-draw
+# contract (one generator per run, fixed-shape draw blocks per step)
 # ---------------------------------------------------------------------------
 
 def run_digest(run):
@@ -609,27 +599,36 @@ def run_digest(run):
     return run.best_fitness, digest([f for _, f in run.trace]), digest(run.best_position)
 
 
-RASTRIGIN_GOLDENS = {  # rastrigin_shifted_rotated D10 (registry seed 1), P50, T200
-    1: (450.07937758675797,
-        "3db3173f64a74fb91aff133d794431a6a4c0c5cd8d981a57025a813f160eef06",
-        "f252378a539c604f9e48df66a18c1f3b51657cccb043e7dca08dc717f374cd3c"),
-    2: (424.81822354449605,
-        "ae9c55cf71f87bf9d9fbaee2d4e395e9c26a30e7d5f827bc0bbab3ca33fd0db7",
-        "ed546e12e9aee68c206420066a1ded26c3902c7f9cd8f87e1ec3aa48c82b1535"),
-    3: (408.6046115883237,
-        "94ac0da5f9bb675bb9a315ef340f40dcc52aa1fd643746bfdf67df369b41a589",
-        "453376df8a3d1f466c466e10a2a7252af74f6a56b30dc9d3e373b05b6a3c2d58"),
+PSO_RASTRIGIN = {  # rastrigin_shifted_rotated D10 (registry seed 1), P50, T200
+    1: (434.84627843066016,
+        "00aff2d5a36ca8cd30a5f76aaa9bab4fd2b68d3726ae540a13d503c705b76e8b",
+        "9ab2abcf50f4d6a92853715bbf553dd404f73c769eef74e2e6ab75a65d9086a9"),
+    2: (443.9746627885708,
+        "b0ae487e4569b1ffa756f5b681e6586281340f69060adb9c92eb12d88d590a21",
+        "098996b34ec0c7ab9722ed48f5b99c8a96dbfab7209ce03a5f7c64c6ca5b1f47"),
+    3: (437.5258848027898,
+        "dcd4246d97bdbcacb8943ed8b803a23e58bbec1b277eb8233acb290a0e5875c2",
+        "172da70774536e51e5736667764501ca923e1fd1369cd01e9450914376e022ae"),
+}
+RASTRIGIN_GOLDENS = {
+    **{("pso", seed): value for seed, value in PSO_RASTRIGIN.items()},
+    ("epso", 1): (436.7942100470944,
+                  "09053743986effce6fc4d28c93d6cbbde5af0de5f8fe4ae8111d2edd1969b94c",
+                  "8e2758c9b30426469ac662df6bf2c35e6cd70d99c8dbcfe5d79fea81286b4410"),
+    ("epso", 2): (430.6056186679259,
+                  "1b205cf46cd919783ecf06fc1184a86956cbcec2da8bde8c282aca16d09dd7ee",
+                  "87a4dcc910c5d750446b8985a11406c8a64b338db5415288108c3a3d5bbe6cef"),
+    ("epso", 3): PSO_RASTRIGIN[3],  # group 2 never improves gbest on this seed
 }
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("mode", ["pso", "epso"])
 def test_golden_rastrigin_traces(mode, seed):
-    # with the default schedule, group 2 never improves gbest here: both modes match
     spec, fn = registry("rastrigin_shifted_rotated", 10, seed=1)
     cfg = EpsoConfig(dimension=10, bounds=spec.bounds, population_size=50, max_iterations=200,
                      seed=seed)
-    assert run_digest(optimize(cfg, fn, mode=mode)) == RASTRIGIN_GOLDENS[seed]
+    assert run_digest(optimize(cfg, fn, mode=mode)) == RASTRIGIN_GOLDENS[mode, seed]
 
 
 def test_golden_composition_3_two_group_trace():
@@ -637,9 +636,9 @@ def test_golden_composition_3_two_group_trace():
     cfg = EpsoConfig(dimension=10, bounds=spec.bounds, population_size=50, max_iterations=200,
                      seed=4, g_pini=0.9, g_pfine=0.4)
     assert run_digest(optimize(cfg, fn, mode="epso")) == (
-        1065762.638199871,
-        "359d4b78944b3f8e7891649b836e329728cae8862132d87ef420e0227b686248",
-        "103a7c01f10445ee193f8da2d70bb7663a37ec6a429452e807b87f3ddc6203c2",
+        302709082.2969418,
+        "219da81093fe04caae305989e40ee85770260a266b9eee0df404e507a884a93c",
+        "92fd5542d4e05cfda2405bb9f67ea2392e8835eee9561cdfb8ccea3da1b08774",
     )
 
 
@@ -647,19 +646,19 @@ def test_golden_swarm_state_after_two_group_steps():
     spec, fn = registry("rastrigin_shifted_rotated", 10, seed=1)
     cfg = EpsoConfig(dimension=10, bounds=spec.bounds, population_size=20, max_iterations=30,
                      seed=7, g_pini=0.8, g_pfine=0.3)
-    rng = RandomSource(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     swarm = init_swarm(cfg, fn, rng)
     for _ in range(cfg.max_iterations):
         step(swarm, fn, cfg, rng, mode="epso")
     assert [digest(a) for a in (swarm.positions, swarm.velocities, swarm.pbest_positions,
                                 swarm.pbest_fitness, swarm.gbest_position)] == [
-        "a5c5a76aa6190201e7ba02fce5405d9fe7d783860e918ef6a95b779dbdfbf164",
-        "eca85ffd99e0d77586dad2b12b21b04fd94038816204ea62eb410f94708ad8c7",
-        "d9a2e312f0c5fff5aa76e48e396cbaef9ac827897fc9e4d8b97949ece7067ee4",
-        "d52aaabdad86e1086b5f6e3127163af8f879a4d1d3d5e6eef06ef86fa747f1d1",
-        "17f7ec25bb39afbcc760c06f685a47ed30f40a398b3c429ecc7b3f9ca4eba878",
+        "b8508ba0b82325e01af050327d7abedf6d32caf094520bf87be2c7e1a7f3b962",
+        "7f3695b84fa73071606b3f6996b4f927061333285bb994dfb090cdbfc8a84d91",
+        "8d2ee7250d11bd3b855a6d69978e8f0a26f6e3f2f30b09fddd4dfe7749026e10",
+        "6a91b8e5ce5cc1b70e29b5dc2afc1d27e2bb105a58f121a836566e9d30eb94f8",
+        "bcf30d1416fc669aed3a949d7f6b7086b04c296f923ea4473b8dc7b8b7730d9a",
     ]
-    assert swarm.gbest_fitness == 2118.57477945101
+    assert swarm.gbest_fitness == 587.5539933379624
 
 
 def test_golden_feature_selection_run():
@@ -670,7 +669,7 @@ def test_golden_feature_selection_run():
     assert run_digest(res.run) == (
         0.0,
         "10eef285deef7a4b7c82b22aa53589b7833df29de3814649c772bbd5c832f365",
-        "69a9fa97dac74a2dbbcb9e123da2baf5cc86e9e0412c64318b663e09b87d109f",
+        "5895794dada63dc48e614f280ea67d80a8e14a821559ac83d260a9da90b0c207",
     )
 
 
@@ -718,7 +717,8 @@ def run_steps(cfg, objective, mode, rng):
 @given(configs(), st.sampled_from(["pso", "epso"]), st.floats(-2.0, 2.0))
 def test_property_rows_stay_in_bounds_and_gbest_is_best_pbest(cfg, mode, pull):
     lo, hi, limit = cfg.bounds[:, 0], cfg.bounds[:, 1], cfg.velocity_limit
-    for swarm in run_steps(cfg, shifted_sphere(cfg, pull), mode, RandomSource(cfg.seed)):
+    rng = np.random.default_rng(cfg.seed)
+    for swarm in run_steps(cfg, shifted_sphere(cfg, pull), mode, rng):
         shape = (cfg.population_size, cfg.dimension)
         assert swarm.positions.shape == swarm.velocities.shape == shape
         assert np.all((swarm.positions >= lo) & (swarm.positions <= hi))
@@ -726,18 +726,120 @@ def test_property_rows_stay_in_bounds_and_gbest_is_best_pbest(cfg, mode, pull):
         assert swarm.gbest_fitness == swarm.pbest_fitness.min()
 
 
+def as_bytes(arrays):
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
+def reference_run(cfg, objective, mode):
+    """init_swarm and step written from the draw contract, one row and one
+    coordinate at a time; yields the state after init and after every step.
+
+    Init draws one P x D block. Each step draws r1 | r2 as one (2, P, D)
+    block, then P x D gene keys, then alpha | beta as one (2, P, m) block on
+    [-1, 1]. A group-2 row mutates the m genes holding its smallest keys,
+    and its other coordinates keep their velocity.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    n, d = cfg.population_size, cfg.dimension
+    lo, hi = cfg.bounds[:, 0].tolist(), cfg.bounds[:, 1].tolist()
+    limit = cfg.velocity_limit.tolist()
+
+    def clamp(value, low, high):
+        return min(max(value, low), high)
+
+    def evaluate(rows):
+        values = [float(objective(np.array(row))) for row in rows]
+        return [f if np.isfinite(f) else np.inf for f in values]
+
+    u = rng.random((n, d)).tolist()
+    x = [[lo[j] + (hi[j] - lo[j]) * u[i][j] for j in range(d)] for i in range(n)]
+    v = [[0.0] * d for _ in range(n)]
+    pbest, pfit = [row[:] for row in x], evaluate(x)
+    best = min(range(n), key=lambda i: (pfit[i], i))
+    gbest, gfit = x[best][:], pfit[best]
+    yield x, v, pbest, pfit, gbest, gfit
+    for t in range(cfg.max_iterations):
+        g1 = n if mode == "pso" else group1_size(t, cfg)
+        group2 = set(sorted(range(n), key=lambda i: (pfit[i], i))[g1:])
+        r = rng.random((2, n, d)).tolist()
+        keys = rng.random((n, d)).tolist()
+        m = mutation_gene_count(t, cfg)
+        alpha, beta = (-1.0 + 2.0 * rng.random((2, n, m))).tolist()
+        w = inertia_weight(t, cfg)
+        for i in range(n):
+            if i in group2:  # only the genes move; the other coordinates keep their velocity
+                new = v[i][:]
+                genes = sorted(sorted(range(d), key=lambda j: keys[i][j])[:m])
+                for k, j in enumerate(genes):
+                    new[j] = clamp(alpha[i][k] * gbest[j] + (1.0 - beta[i][k] * v[i][j])
+                                   * pbest[i][j], -limit[j], limit[j])
+            else:
+                new = [clamp(v[i][j] * w + (cfg.c1 * r[0][i][j]) * (pbest[i][j] - x[i][j])
+                             + (cfg.c2 * r[1][i][j]) * (gbest[j] - x[i][j]), -limit[j], limit[j])
+                       for j in range(d)]
+            v[i] = new
+            x[i] = [clamp(x[i][j] + v[i][j], lo[j], hi[j]) for j in range(d)]
+        fitness = evaluate(x)
+        for i in range(n):
+            if fitness[i] < pfit[i]:
+                pbest[i], pfit[i] = x[i][:], fitness[i]
+        best = min(range(n), key=lambda i: (fitness[i], i))
+        if fitness[best] < gfit:
+            gbest, gfit = x[best][:], fitness[best]
+        yield x, v, pbest, pfit, gbest, gfit
+
+
+@settings(max_examples=100, deadline=None)
+@given(configs(), st.sampled_from(["pso", "epso"]), st.floats(-2.0, 2.0))
+def test_property_step_equals_the_plain_loop_reference(cfg, mode, pull):
+    objective = shifted_sphere(cfg, pull)
+    rng = np.random.default_rng(cfg.seed)
+    for swarm, ref in zip(run_steps(cfg, objective, mode, rng),
+                          reference_run(cfg, objective, mode), strict=True):
+        assert as_bytes((swarm.positions, swarm.velocities, swarm.pbest_positions,
+                         swarm.pbest_fitness, swarm.gbest_position, swarm.gbest_fitness)) == (
+            as_bytes(ref))
+
+
 @settings(max_examples=60, deadline=None)
-@given(configs(), st.sampled_from(["pso", "epso"]))
-def test_property_streams_touched_in_reverse_order_give_same_trace(cfg, mode):
-    objective = shifted_sphere(cfg, 0.3)
-    reverse = RandomSource(cfg.seed)
-    for i in reversed(range(cfg.population_size)):
-        reverse.stream(i)
-    runs = []
-    for rng in (RandomSource(cfg.seed), reverse):
-        states = run_steps(cfg, objective, mode, rng)
-        runs.append([(s.gbest_fitness, s.positions.tobytes()) for s in states])
-    assert runs[0] == runs[1]
+@given(configs(), st.floats(-2.0, 2.0))
+def test_property_epso_equals_pso_when_both_fractions_are_one(cfg, pull):
+    cfg = dataclasses.replace(cfg, g_pini=1.0, g_pfine=1.0)
+    objective = shifted_sphere(cfg, pull)
+    epso, pso = optimize(cfg, objective, "epso"), optimize(cfg, objective, "pso")
+    assert epso.trace == pso.trace
+    assert epso.best_position.tobytes() == pso.best_position.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(configs(), st.sampled_from(["pso", "epso"]), st.integers(0, 2**32 - 1))
+def test_property_rows_evaluated_in_shuffled_order_give_the_same_run(cfg, mode, order_seed):
+    value = shifted_sphere(cfg, 0.3)
+    order = np.random.default_rng(order_seed)
+
+    @batch_objective
+    def shuffled(x):
+        if np.ndim(x) == 1:
+            return value(x)
+        out = np.empty(len(x))
+        for i in order.permutation(len(x)):  # a new order on every call
+            out[i] = value(x[i])
+        return out
+
+    batch, per_row = optimize(cfg, shuffled, mode), optimize(cfg, value, mode)
+    assert batch.trace == per_row.trace
+    assert batch.best_position.tobytes() == per_row.best_position.tobytes()
+
+
+def test_gene_draws_are_uniform_over_subsets():
+    # D=6, m=2: 15 subsets, 1,000 expected each. 36.12 is the 0.999 quantile
+    # of chi-square with 14 degrees of freedom, fixed before the test was run.
+    keys = np.random.default_rng(2024).random((15_000, 6))
+    genes = select_mutation_genes(keys, 2)
+    assert np.all(genes[:, 0] < genes[:, 1])
+    subsets, counts = np.unique(genes, axis=0, return_counts=True)
+    assert len(subsets) == 15
+    assert float(np.sum((counts - 1000.0) ** 2 / 1000.0)) < 36.12
 
 
 @settings(max_examples=200, deadline=None)
