@@ -11,10 +11,15 @@ along the last axis: a 1-D input gives a Python float, a (P, D) input gives
 the P row values. Each row's value is bit-identical to the 1-D call on that
 row, because each row goes through the same reductions and the same BLAS
 call (gemv for a rotation, dot for a distance) as the 1-D input does.
+
+Each base function declares the least dimension it accepts at its definition
+(`@_base(least=...)`, read back as `least_dimension`). The registry is one
+ordered table, `_REGISTRY`: each name's kind and parts, in registry order.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -55,53 +60,62 @@ def _scalar_square(v) -> np.ndarray:
     return np.array([x ** 2 for x in v.flat]).reshape(v.shape)
 
 
+def _base(least: int = 1):
+    """Declare a base function that needs at least `least` coordinates, kept as
+    its least_dimension. The body gets _points(z), a point or a stack of
+    points checked for width, and its result goes back through _value."""
+    def declare(body):
+        @functools.wraps(body)
+        def base(z):
+            z = _points(z)
+            if z.shape[-1] < least:
+                need = "a non-empty vector" if least == 1 else f"at least {least} dimensions"
+                raise ContractError(f"{body.__name__} needs {need}")
+            return _value(body(z))
+
+        base.least_dimension = least
+        return base
+
+    return declare
+
+
+@_base()
 def elliptic(z) -> float:
     """Sum of (1e6)^(d/(D-1)) * z_d^2; a highly ill-conditioned bowl."""
-    z = _points(z)
     d = z.shape[-1]
-    if d == 0:
-        raise ContractError("elliptic needs a non-empty vector")
     if d == 1:
-        return _value(_scalar_square(z[..., 0]))
+        return _scalar_square(z[..., 0])
     weights = 1e6 ** (np.arange(d) / (d - 1))
-    return _value((weights * z * z).sum(axis=-1))
+    return (weights * z * z).sum(axis=-1)
 
 
+@_base(least=2)
 def cigar(z) -> float:
     """z_1^2 + 1e6 * sum of the remaining squares."""
-    z = _points(z)
-    if z.shape[-1] < 2:
-        raise ContractError("cigar needs at least 2 dimensions")
-    return _value(_scalar_square(z[..., 0]) + 1e6 * (z[..., 1:] ** 2).sum(axis=-1))
+    return _scalar_square(z[..., 0]) + 1e6 * (z[..., 1:] ** 2).sum(axis=-1)
 
 
+@_base()
 def ackley(z) -> float:
-    z = _points(z)
-    if z.shape[-1] == 0:
-        raise ContractError("ackley needs a non-empty vector")
     term1 = -20.0 * np.exp(-0.2 * np.sqrt((z * z).mean(axis=-1)))
     term2 = -np.exp(np.cos(2.0 * np.pi * z).mean(axis=-1))
-    return _value(term1 + term2 + 20.0 + np.e)
+    return term1 + term2 + 20.0 + np.e
 
 
+@_base()
 def rastrigin(z) -> float:
-    z = _points(z)
-    if z.shape[-1] == 0:
-        raise ContractError("rastrigin needs a non-empty vector")
-    return _value((z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0).sum(axis=-1))
+    return (z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0).sum(axis=-1)
 
 
+@_base()
 def schwefel(z) -> float:
     """418.9829*D - sum z_d*sin(sqrt|z_d|); defined only on [-500, 500]^D.
 
     One component outside the domain fails the whole call, stacked or not.
     """
-    z = _points(z)
-    if z.shape[-1] == 0:
-        raise ContractError("schwefel needs a non-empty vector")
     if np.any(np.abs(z) > 500.0):
         raise ContractError("schwefel is defined only for components in [-500, 500]")
-    return _value(418.9829 * z.shape[-1] - (z * np.sin(np.sqrt(np.abs(z)))).sum(axis=-1))
+    return 418.9829 * z.shape[-1] - (z * np.sin(np.sqrt(np.abs(z)))).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -270,69 +284,32 @@ def _shifted_rotated(base: Objective, dim: int, rng: np.random.Generator):
     return bounds, t.shift, fn
 
 
-_HYBRID_PARTS = {
-    "hybrid_1": [(ackley, 0.3), (rastrigin, 0.3), (elliptic, 0.4)],
-    "hybrid_2": [(elliptic, 0.2), (cigar, 0.2), (ackley, 0.3), (rastrigin, 0.3)],
-    "hybrid_3": [(elliptic, 0.2), (cigar, 0.2), (ackley, 0.2), (rastrigin, 0.2), (rastrigin, 0.2)],
-}
-
-_COMPOSITION_PARTS = {
-    "composition_1": [(rastrigin, 10.0, 0.0), (ackley, 20.0, 100.0), (elliptic, 30.0, 200.0)],
-    "composition_2": [(ackley, 10.0, 0.0), (rastrigin, 20.0, 100.0), (cigar, 30.0, 200.0)],
-    "composition_3": [
-        (rastrigin, 10.0, 0.0),
-        (ackley, 20.0, 100.0),
-        (elliptic, 30.0, 200.0),
-        (cigar, 40.0, 300.0),
-        (rastrigin, 50.0, 400.0),
-    ],
-}
-
-_REGISTRY_ORDER = [
-    "elliptic_rotated",
-    "cigar_rotated",
-    "ackley_shifted_rotated",
-    "rastrigin_shifted_rotated",
-    "schwefel_shifted_rotated",
-    "hybrid_1",
-    "hybrid_2",
-    "hybrid_3",
-    "composition_1",
-    "composition_2",
-    "composition_3",
-]
-
-# the least dimension each base function accepts; the others accept any D >= 1
-_MIN_DIMENSION = {cigar: 2}
-
-_BASE_BY_NAME = {
-    "elliptic_rotated": elliptic,
-    "cigar_rotated": cigar,
-    "ackley_shifted_rotated": ackley,
-    "rastrigin_shifted_rotated": rastrigin,
+# name -> (kind, parts), in registry order: entry i has bias 100 * (i + 1) and
+# draws from spawn key i. A "rotated" or "schwefel" entry has one base
+# function, a hybrid's parts are (base, fraction), a composition's are
+# (base, sigma, bias).
+_REGISTRY = {
+    "elliptic_rotated": ("rotated", [(elliptic,)]),
+    "cigar_rotated": ("rotated", [(cigar,)]),
+    "ackley_shifted_rotated": ("rotated", [(ackley,)]),
+    "rastrigin_shifted_rotated": ("rotated", [(rastrigin,)]),
+    "schwefel_shifted_rotated": ("schwefel", [(schwefel,)]),
+    "hybrid_1": ("hybrid", [(ackley, 0.3), (rastrigin, 0.3), (elliptic, 0.4)]),
+    "hybrid_2": ("hybrid", [(elliptic, 0.2), (cigar, 0.2), (ackley, 0.3), (rastrigin, 0.3)]),
+    "hybrid_3": ("hybrid", [(elliptic, 0.2), (cigar, 0.2), (ackley, 0.2), (rastrigin, 0.2),
+                            (rastrigin, 0.2)]),
+    "composition_1": ("composition", [(rastrigin, 10.0, 0.0), (ackley, 20.0, 100.0),
+                                      (elliptic, 30.0, 200.0)]),
+    "composition_2": ("composition", [(ackley, 10.0, 0.0), (rastrigin, 20.0, 100.0),
+                                      (cigar, 30.0, 200.0)]),
+    "composition_3": ("composition", [(rastrigin, 10.0, 0.0), (ackley, 20.0, 100.0),
+                                      (elliptic, 30.0, 200.0), (cigar, 40.0, 300.0),
+                                      (rastrigin, 50.0, 400.0)]),
 }
 
 
 def available_functions() -> tuple[str, ...]:
-    return tuple(_REGISTRY_ORDER)
-
-
-def _check_part_dimensions(name: str, dimension: int) -> None:
-    """ContractError if a base function of the entry gets fewer dimensions
-    than it accepts: an empty hybrid block, or cigar with one dimension."""
-    if name in _HYBRID_PARTS:
-        bases, fractions = zip(*_HYBRID_PARTS[name])
-        sizes = _block_sizes(np.array(fractions, dtype=float), dimension)
-    elif name in _COMPOSITION_PARTS:
-        bases = [base for base, _, _ in _COMPOSITION_PARTS[name]]
-        sizes = [dimension] * len(bases)
-    else:
-        bases, sizes = [_BASE_BY_NAME.get(name, schwefel)], [dimension]
-    for base, size in zip(bases, sizes):
-        least = _MIN_DIMENSION.get(base, 1)
-        if size < least:
-            raise ContractError(f"{name} at dimension {dimension} gives {base.__name__} {size}"
-                                f" dimension(s); it needs {least}")
+    return tuple(_REGISTRY)
 
 
 def registry(name: str, dimension: int, seed: int) -> tuple[ObjectiveSpec, Objective]:
@@ -342,53 +319,44 @@ def registry(name: str, dimension: int, seed: int) -> tuple[ObjectiveSpec, Objec
     competition convention; it is purely an additive offset. The objective
     is marked with batch_objective, so optimize evaluates the whole swarm in
     one call per iteration. A dimension too small for one of its base
-    functions (a hybrid block, or cigar below 2) is a ContractError here.
+    functions (an empty hybrid block, or fewer coordinates than a base's
+    least_dimension) is a ContractError here, before anything is drawn.
     """
-    if name not in _REGISTRY_ORDER:
-        raise UnknownFunctionError(
-            f"unknown function {name!r}; available: {', '.join(_REGISTRY_ORDER)}"
-        )
+    if name not in _REGISTRY:
+        raise UnknownFunctionError(f"unknown function {name!r}; available: {', '.join(_REGISTRY)}")
     if dimension < 1:
         raise ContractError("dimension must be positive")
-    _check_part_dimensions(name, dimension)
-    index = _REGISTRY_ORDER.index(name)
+    kind, parts = _REGISTRY[name]
+    sizes = (_block_sizes([fraction for _, fraction in parts], dimension) if kind == "hybrid"
+             else [dimension] * len(parts))
+    for (base, *_), size in zip(parts, sizes):
+        if size < base.least_dimension:
+            raise ContractError(f"{name} at dimension {dimension} gives {base.__name__} {size}"
+                                f" dimension(s); it needs {base.least_dimension}")
+    index = list(_REGISTRY).index(name)
     bias = 100.0 * (index + 1)
     rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(index,)))
 
-    if name in _BASE_BY_NAME:
-        bounds, optimum, raw = _shifted_rotated(_BASE_BY_NAME[name], dimension, rng)
-    elif name == "schwefel_shifted_rotated":
-        # map the rotated offset into Schwefel's domain around its optimizer;
-        # the scale keeps every component inside [-500, 500]
-        scale = 79.0 / (np.sqrt(dimension) * (DEFAULT_HIGH - DEFAULT_LOW))
-        bounds, optimum, raw = _shifted_rotated(
-            lambda z: schwefel(SCHWEFEL_OPTIMUM + scale * z), dimension, rng)
-    elif name in _HYBRID_PARTS:
-        inner = hybrid(_HYBRID_PARTS[name])
-        bounds, optimum, raw = _shifted_rotated(inner, dimension, rng)
-    else:
+    if kind == "composition":
         bounds = _default_bounds(dimension)
         comps = []
-        for base, sigma, cbias in _COMPOSITION_PARTS[name]:
+        for base, sigma, cbias in parts:
             s = _random_shift(rng, bounds)
-            comps.append(
-                CompositionComponent(
-                    objective=(lambda x, b=base, sh=s: b(x - sh)),  # x: composition's array
-                    sigma=sigma,
-                    bias=cbias,
-                    shift=s,
-                )
-            )
-        raw = composition(comps)
-        optimum = comps[0].shift
+            # x is the composition's array, one point or a stack
+            comps.append(CompositionComponent(lambda x, b=base, sh=s: b(x - sh), sigma, cbias, s))
+        raw, optimum = composition(comps), comps[0].shift
+    else:
+        if kind == "schwefel":
+            # map the rotated offset into Schwefel's domain around its optimizer;
+            # the scale keeps every component inside [-500, 500]
+            scale = 79.0 / (np.sqrt(dimension) * (DEFAULT_HIGH - DEFAULT_LOW))
 
-    spec = ObjectiveSpec(
-        name=name,
-        dimension=dimension,
-        bounds=bounds,
-        bias=bias,
-        optimum=np.asarray(optimum, dtype=float),
-    )
+            def inner(z):
+                return schwefel(SCHWEFEL_OPTIMUM + scale * z)
+        else:
+            inner = hybrid(parts) if kind == "hybrid" else parts[0][0]
+        bounds, optimum, raw = _shifted_rotated(inner, dimension, rng)
+    spec = ObjectiveSpec(name, dimension, bounds, bias, np.asarray(optimum, dtype=float))
 
     @batch_objective
     def objective(x) -> float:

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the configs' field-type check."""
+
+import dataclasses
+import math
+import numbers
 
 
 class ContractError(ValueError):
@@ -7,6 +11,33 @@ class ContractError(ValueError):
 
 class ConfigError(ValueError):
     """A configuration object failed validation."""
+
+
+# what a field of each annotated type accepts, and how an error names it;
+# bool is an int to Python, so it is accepted only where the type is bool
+_FIELD_TYPES = {
+    "str": (str, "a string"),
+    "str | None": ((str, type(None)), "a string"),
+    "int": (numbers.Integral, "an integer"),
+    "int | None": ((numbers.Integral, type(None)), "an integer"),
+    "float": (numbers.Real, "a finite number"),
+    "bool": (bool, "true or false"),
+    "dict": (dict, "an object"),
+}
+
+
+def check_field_types(config) -> None:
+    """ConfigError naming the first field of a config dataclass (annotations
+    read as strings) whose value is not of its type; a float must be finite.
+    np.ndarray fields are left to the class to convert."""
+    for f in dataclasses.fields(config):
+        if f.type == "np.ndarray":
+            continue
+        kind, noun = _FIELD_TYPES[f.type]
+        value = getattr(config, f.name)
+        if (not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool)
+                or (kind is numbers.Real and not math.isfinite(value))):
+            raise ConfigError(f"{f.name} must be {noun}, got {value!r}")
 
 
 class DataError(ValueError):

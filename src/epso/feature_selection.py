@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import Dataset, stratified_folds
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, check_field_types
 from .swarm import EpsoConfig, Objective, RunResult, optimize
 
 POSITION_LOW, POSITION_HIGH = -1.0, 1.0
@@ -39,6 +39,7 @@ class WrapperConfig:
     k_folds: int = 10
 
     def __post_init__(self):
+        check_field_types(self)
         if not (POSITION_LOW < self.threshold < POSITION_HIGH):
             raise ConfigError("threshold must lie strictly inside [-1, +1]")
         if self.k_neighbors < 1:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .benchmarks import registry
 from .datasets import complexity_index, load_csv, normalize_minmax
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, check_field_types
 from .feature_selection import WrapperConfig, position_bounds, select_features
 from .swarm import EpsoConfig, RunResult, optimize
 
@@ -49,17 +49,6 @@ def summarize(values) -> SummaryStats:
     )
 
 
-# what a field of each annotated type accepts, and how an error names it;
-# bool is an int to Python, so it is accepted only where the type is bool
-_FIELD_TYPES = {
-    "str": (str, "a string"),
-    "str | None": ((str, type(None)), "a string"),
-    "int": (numbers.Integral, "an integer"),
-    "float": (numbers.Real, "a number"),
-    "bool": (bool, "true or false"),
-    "dict": (dict, "an object"),
-}
-
 # EpsoConfig's keywords and defaults, less the three that each run sets
 SWARM_DEFAULTS = {
     f.name: f.default for f in fields(EpsoConfig)
@@ -93,11 +82,7 @@ class ExperimentConfig:
     swarm: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for f in fields(self):
-            kind, noun = _FIELD_TYPES[f.type]
-            value = getattr(self, f.name)
-            if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-                raise ConfigError(f"{f.name} must be {noun}, got {value!r}")
+        check_field_types(self)
         if self.task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.algorithm not in ALGORITHMS:

@@ -21,8 +21,6 @@ in index order.
 
 from __future__ import annotations
 
-import math
-import numbers
 import operator
 import time
 from collections.abc import Sequence
@@ -31,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, EvaluationError
+from .errors import ConfigError, ContractError, EvaluationError, check_field_types
 
 Objective = Callable[[np.ndarray], float]
 
@@ -81,18 +79,7 @@ class EpsoConfig:
     seed: int = 0
 
     def __post_init__(self):
-        def wrong_type(value, kind) -> bool:
-            return isinstance(value, bool) or not isinstance(value, kind)
-
-        for name in ("dimension", "population_size", "max_iterations", "m_min", "m_max", "seed"):
-            value = getattr(self, name)
-            if wrong_type(value, numbers.Integral) and not (name == "m_max" and value is None):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in ("inertia_start", "inertia_end", "c1", "c2", "g_pini", "g_pfine",
-                     "velocity_clamp_fraction"):
-            value = getattr(self, name)
-            if wrong_type(value, numbers.Real) or not math.isfinite(value):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        check_field_types(self)
         if self.dimension < 1:
             raise ConfigError("dimension must be a positive integer")
         b = np.atleast_2d(np.asarray(self.bounds, dtype=float))
@@ -100,6 +87,10 @@ class EpsoConfig:
             raise ConfigError(
                 f"bounds must have shape ({self.dimension}, 2), got {b.shape}"
             )
+        with np.errstate(over="ignore"):  # rng.uniform needs a finite high - low
+            finite = np.isfinite(b).all() and np.isfinite(b[:, 1] - b[:, 0]).all()
+        if not finite:
+            raise ConfigError("bounds must be finite, and so must high - low")
         if not np.all(b[:, 0] < b[:, 1]):
             raise ConfigError("bounds must satisfy low < high in every dimension")
         # a view, so a single pair spans any dimension without a copy
@@ -294,11 +285,9 @@ def update_velocity_extended(
         raise ContractError("velocity, pbest and gbest must share one dimension")
     if genes.size and (genes.min() < 0 or genes.max() >= v.shape[-1]):
         raise ContractError("gene index out of range")
+    at = (genes,) if v.ndim == 1 else (np.arange(len(v))[:, None], genes)
     new = v.copy()
-    mutated = alpha * gbest[genes] + (1.0 - beta * np.take_along_axis(v, genes, -1)) * (
-        np.take_along_axis(pbest, genes, -1)
-    )
-    np.put_along_axis(new, genes, mutated, -1)
+    new[at] = alpha * gbest[genes] + (1.0 - beta * v[at]) * pbest[at]
     np.maximum(new, -limit, out=new)
     return np.minimum(new, limit, out=new)
 

@@ -72,6 +72,16 @@ def test_base_functions_non_negative(fn, dim):
         assert fn(rng.uniform(-5, 5, dim)) >= 0.0
 
 
+@pytest.mark.parametrize("fn,least", [(elliptic, 1), (cigar, 2), (ackley, 1), (rastrigin, 1),
+                                      (schwefel, 1)])
+def test_base_functions_declare_their_least_dimension(fn, least):
+    assert fn.least_dimension == least
+    with pytest.raises(ContractError, match=f"^{fn.__name__} needs "):
+        fn(np.zeros(least - 1))
+    value = fn(np.zeros(least))
+    assert isinstance(value, float) and np.isfinite(value)
+
+
 # ---------------------------------------------------------------------------
 # transforms
 # ---------------------------------------------------------------------------

@@ -226,6 +226,16 @@ def test_wrapper_config_validation():
         WrapperConfig(k_folds=1)
 
 
+@pytest.mark.parametrize("key,value,noun", [
+    ("k_folds", 2.5, "an integer"), ("k_neighbors", 1.5, "an integer"),
+    ("k_folds", True, "an integer"), ("threshold", "0.5", "a finite number"),
+    ("threshold", float("nan"), "a finite number"), ("protocol", None, "a string"),
+])
+def test_wrapper_config_rejects_values_of_the_wrong_type(key, value, noun):
+    with pytest.raises(ConfigError, match=f"^{key} must be {noun}, got "):
+        WrapperConfig(**{key: value})
+
+
 # ---------------------------------------------------------------------------
 # objective
 # ---------------------------------------------------------------------------

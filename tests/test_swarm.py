@@ -62,6 +62,15 @@ def test_config_rejects_inverted_bounds():
         make_config(bounds=[5.0, -5.0])
 
 
+@pytest.mark.parametrize("bounds", [
+    (-np.inf, np.inf), (-1e308, 1e308), (0.0, np.nan), [[-1.0, 1.0], [-np.inf, 1.0], [0.0, 1.0]],
+])
+def test_config_rejects_non_finite_bounds_or_width(bounds):
+    # (-1e308, 1e308) has finite ends but an infinite width, which rng.uniform cannot draw from
+    with pytest.raises(ConfigError, match="bounds must be finite"):
+        make_config(bounds=bounds)
+
+
 def test_config_rejects_bad_group_percentages():
     with pytest.raises(ConfigError):
         make_config(g_pini=0.5, g_pfine=0.9)
