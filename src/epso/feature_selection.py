@@ -1,6 +1,6 @@
 """Wrapper feature selection: continuous positions in [-1, 1]^F are
-thresholded into feature masks and scored by a k-nearest-neighbor objective
-(k=1 by default) under leave-one-out or stratified k-fold evaluation.
+thresholded into feature masks and scored by a 1-nearest-neighbor objective
+under leave-one-out or stratified k-fold evaluation.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ class WrapperConfig:
     """How candidate masks are scored."""
 
     threshold: float = 0.5
-    k_neighbors: int = 1
     protocol: str = "kfold"  # "kfold" or "loo"
     k_folds: int = 10
 
@@ -42,8 +41,6 @@ class WrapperConfig:
         check_field_types(self)
         if not (POSITION_LOW < self.threshold < POSITION_HIGH):
             raise ConfigError("threshold must lie strictly inside [-1, +1]")
-        if self.k_neighbors < 1:
-            raise ConfigError("k_neighbors must be at least 1")
         if self.protocol not in ("kfold", "loo"):
             raise ConfigError("protocol must be 'kfold' or 'loo'")
         if self.protocol == "kfold" and self.k_folds < 2:
@@ -91,29 +88,18 @@ def knn_classify(train_features, train_labels, query, k: int = 1) -> int:
     return int(y[order[0]])
 
 
-def _knn_accuracy(x: np.ndarray, y: np.ndarray, fold_id: np.ndarray, k: int) -> float:
-    """Mean per-fold kNN accuracy, every fold scored from one n x n distance matrix.
+def _knn_accuracy(x: np.ndarray, y: np.ndarray, fold_id: np.ndarray) -> float:
+    """Mean per-fold 1NN accuracy, every fold scored from one n x n distance matrix.
 
     Same-fold pairs (the diagonal among them) are set to +inf, so each row
-    only finds neighbors in the other folds. Neighbors follow knn_classify's
-    rule: distance ties go to the lower row index, a vote tie to the nearest
-    neighbor of a tied class.
+    only finds neighbors in the other folds. A distance tie goes to the
+    lower row index, as in knn_classify with k=1.
     """
     sq = np.sum(x * x, axis=1)
     dist = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
     np.maximum(dist, 0.0, out=dist)
     dist[fold_id[:, None] == fold_id[None, :]] = np.inf
-    if k == 1:
-        pred = y[np.argmin(dist, axis=1)]
-    else:
-        order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-        near = y[order]
-        # a row with fewer than k training rows gets same-fold ones last: no vote
-        valid = fold_id[order] != fold_id[:, None]
-        votes = ((near[:, :, None] == np.arange(y.max() + 1)) & valid[:, :, None]).sum(axis=1)
-        rows = np.arange(y.size)[:, None]
-        tied = (votes == votes.max(axis=1, keepdims=True))[rows, near]
-        pred = near[rows[:, 0], np.argmax(tied, axis=1)]  # nearest of a tied class
+    pred = y[np.argmin(dist, axis=1)]
     hits = np.bincount(fold_id, weights=pred == y)
     return float(np.mean(hits / np.bincount(fold_id)))
 
@@ -128,17 +114,15 @@ def _fold_ids(d: Dataset, cfg: WrapperConfig, seed: int) -> np.ndarray:
     return fold_id
 
 
-def _masked_accuracy(
-    d: Dataset, mask: FeatureMask, cfg: WrapperConfig, fold_id: np.ndarray
-) -> float:
+def _masked_accuracy(d: Dataset, mask: FeatureMask, fold_id: np.ndarray) -> float:
     if mask.count == 0:
         return 0.0  # empty masks score worst instead of erroring
-    return _knn_accuracy(d.features[:, mask.selected], d.labels, fold_id, cfg.k_neighbors)
+    return _knn_accuracy(d.features[:, mask.selected], d.labels, fold_id)
 
 
 def evaluate_mask(d: Dataset, mask: FeatureMask, cfg: WrapperConfig, seed: int = 0) -> float:
     """Protocol accuracy of the mask's feature subset; empty masks score 0."""
-    return _masked_accuracy(d, mask, cfg, _fold_ids(d, cfg, seed))
+    return _masked_accuracy(d, mask, _fold_ids(d, cfg, seed))
 
 
 def wrapper_objective(d: Dataset, cfg: WrapperConfig, seed: int = 0) -> Objective:
@@ -151,7 +135,7 @@ def wrapper_objective(d: Dataset, cfg: WrapperConfig, seed: int = 0) -> Objectiv
 
     def objective(position) -> float:
         mask = binarize(position, cfg.threshold)
-        return 1.0 - _masked_accuracy(d, mask, cfg, fold_id)
+        return 1.0 - _masked_accuracy(d, mask, fold_id)
 
     return objective
 

@@ -47,11 +47,10 @@ def batch_objective(fn: Objective) -> Objective:
     return fn
 
 
-def _round_half_away(x: float) -> int:
-    """Round with halves going away from zero (so schedules are deterministic)."""
-    if x >= 0:
-        return int(np.floor(x + 0.5))
-    return int(np.ceil(x - 0.5))
+def _round_half_up(x: float) -> int:
+    """Round with halves going up (so schedules are deterministic). Callers
+    clamp the result at 0 or above, where halves up and away agree."""
+    return int(np.floor(x + 0.5))
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,11 @@ class EpsoConfig:
         check_field_types(self)
         if self.dimension < 1:
             raise ConfigError("dimension must be a positive integer")
-        b = np.atleast_2d(np.asarray(self.bounds, dtype=float))
+        try:
+            b = np.atleast_2d(np.asarray(self.bounds, dtype=float))
+        except (TypeError, ValueError):
+            raise ConfigError(f"bounds must be a (low, high) pair or a ({self.dimension}, 2) "
+                              f"array of numbers, got {self.bounds!r}") from None
         if b.shape not in ((1, 2), (self.dimension, 2)):
             raise ConfigError(
                 f"bounds must have shape ({self.dimension}, 2), got {b.shape}"
@@ -104,7 +107,7 @@ class EpsoConfig:
         if not (0.0 <= self.g_pfine <= self.g_pini <= 1.0):
             raise ConfigError("need 0 <= g_pfine <= g_pini <= 1")
         if self.m_max is None:
-            default_m = min(self.dimension, max(self.m_min, _round_half_away(0.5 * self.dimension)))
+            default_m = min(self.dimension, max(self.m_min, _round_half_up(0.5 * self.dimension)))
             object.__setattr__(self, "m_max", default_m)
         if not (1 <= self.m_min <= self.m_max <= self.dimension):
             raise ConfigError("need 1 <= m_min <= m_max <= dimension")
@@ -244,7 +247,7 @@ def group1_size(iteration: int, config: EpsoConfig) -> int:
     T = config.max_iterations
     frac = (iteration / T) ** 2 if T > 0 else 0.0
     raw = (config.g_pini - frac * (config.g_pini - config.g_pfine)) * config.population_size
-    return min(max(_round_half_away(raw), 0), config.population_size)
+    return min(max(_round_half_up(raw), 0), config.population_size)
 
 
 def mutation_gene_count(iteration: int, config: EpsoConfig) -> int:
@@ -252,7 +255,7 @@ def mutation_gene_count(iteration: int, config: EpsoConfig) -> int:
     T = config.max_iterations
     frac = (iteration / T) ** 2 if T > 0 else 0.0
     raw = config.m_min + frac * (config.m_max - config.m_min)
-    return min(max(_round_half_away(raw), config.m_min), config.m_max)
+    return min(max(_round_half_up(raw), config.m_min), config.m_max)
 
 
 def select_mutation_genes(keys: np.ndarray, m: int) -> np.ndarray:

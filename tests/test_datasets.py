@@ -1,5 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from epso import ContractError, DataError, normalize_minmax, synth_dataset
 from epso.datasets import Dataset, cfo_index, complexity_index, load_csv, save_csv, stratified_folds
@@ -101,6 +107,35 @@ def test_save_load_roundtrip(tmp_path):
         assert remap.setdefault(old, new) == new
 
 
+@st.composite
+def small_datasets(draw):
+    """Finite float64 matrices up to 8 x 4, names f0..., and dense labels
+    in which every class occurs."""
+    n_classes = draw(st.integers(2, 4))
+    n = draw(st.integers(n_classes, 8))
+    f = draw(st.integers(1, 4))
+    x = draw(arrays(np.float64, (n, f), elements=st.floats(allow_nan=False, allow_infinity=False)))
+    labels = draw(st.permutations(list(range(n_classes)) + draw(
+        st.lists(st.integers(0, n_classes - 1), min_size=n - n_classes, max_size=n - n_classes))))
+    return Dataset(x, np.array(labels), tuple(f"f{i}" for i in range(f)), "rt")
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_datasets())
+def test_property_save_load_roundtrip_is_exact(d):
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "rt.csv"
+        save_csv(d, p)
+        d2 = load_csv(p)
+    assert d2.feature_names == d.feature_names
+    assert d2.features.dtype == np.float64
+    assert d2.features.tobytes() == d.features.tobytes()  # bit-identical, -0.0 included
+    first_seen = {}
+    for lab in d.labels.tolist():
+        first_seen.setdefault(lab, len(first_seen))
+    assert d2.labels.tolist() == [first_seen[lab] for lab in d.labels.tolist()]
+
+
 # ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------
@@ -158,6 +193,34 @@ def test_folds_deterministic():
     a = stratified_folds(d, 3, seed=4)
     b = stratified_folds(d, 3, seed=4)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+@st.composite
+def fold_cases(draw):
+    """Shuffled labels in which every class has at least k members, with k and a seed."""
+    k = draw(st.integers(2, 6))
+    counts = draw(st.lists(st.integers(k, k + 7), min_size=2, max_size=5))
+    labels = np.array(draw(st.permutations(np.repeat(np.arange(len(counts)), counts).tolist())))
+    d = Dataset(np.zeros((labels.size, 1)), labels, ("f0",), "folds")
+    return d, k, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fold_cases())
+def test_property_folds_partition_balance_and_determinism(case):
+    d, k, seed = case
+    folds = stratified_folds(d, k, seed)
+    assert len(folds) == k
+    for fold in folds:
+        assert np.array_equal(fold, np.sort(fold))
+    rows = np.concatenate(folds)
+    assert np.array_equal(np.sort(rows), np.arange(d.n_samples))  # disjoint and covering
+    sizes = [fold.size for fold in folds]
+    assert max(sizes) - min(sizes) <= 1
+    per_class = np.array([np.bincount(d.labels[fold], minlength=d.n_classes) for fold in folds])
+    assert np.all(per_class.max(axis=0) - per_class.min(axis=0) <= 1)
+    again = stratified_folds(d, k, seed)
+    assert all(np.array_equal(a, b) for a, b in zip(folds, again))
 
 
 def test_folds_reduced_to_smallest_class_with_warning():

@@ -154,7 +154,7 @@ def knn_recount(d, mask, cfg, seed):
     for fold in folds:
         train = np.setdiff1d(np.arange(d.n_samples), fold)
         hits = sum(
-            knn_classify(x[train], y[train], x[i], cfg.k_neighbors) == y[i] for i in fold
+            knn_classify(x[train], y[train], x[i], 1) == y[i] for i in fold
         )
         accs.append(hits / fold.size)
     return float(np.mean(accs))
@@ -163,7 +163,7 @@ def knn_recount(d, mask, cfg, seed):
 @st.composite
 def tie_heavy_cases(draw):
     """Small integer features (so distances are exact and often tied), a
-    random mask, and a protocol/k pair."""
+    random mask, and a protocol."""
     n_classes = draw(st.integers(2, 4))
     n = draw(st.integers(2 * n_classes, 24))
     f = draw(st.integers(1, 6))
@@ -173,9 +173,7 @@ def tie_heavy_cases(draw):
     mask = FeatureMask(draw(arrays(np.bool_, f)))
     protocol = draw(st.sampled_from(["loo", "kfold"]))
     k_folds = draw(st.integers(2, n // n_classes))  # never more than the smallest class
-    cfg = WrapperConfig(
-        k_neighbors=draw(st.sampled_from([1, 2, 3, 5])), protocol=protocol, k_folds=k_folds
-    )
+    cfg = WrapperConfig(protocol=protocol, k_folds=k_folds)
     return d, mask, cfg, draw(st.integers(0, 2**16))
 
 
@@ -186,11 +184,10 @@ def test_kernel_matches_knn_recount_with_ties(case):
     assert evaluate_mask(d, mask, cfg, seed=seed) == knn_recount(d, mask, cfg, seed)
 
 
-@pytest.mark.parametrize("k", [1, 3])
-def test_kernel_matches_knn_recount_on_float_kfold(k):
+def test_kernel_matches_knn_recount_on_float_kfold():
     d = synth_dataset(60, 200, 5, class_count=3, seed=8)
-    cfg = WrapperConfig(k_neighbors=k, protocol="kfold", k_folds=5)
-    rng = np.random.default_rng(k)
+    cfg = WrapperConfig(protocol="kfold", k_folds=5)
+    rng = np.random.default_rng(1)
     for density in (0.05, 0.3, 0.9):
         mask = FeatureMask(rng.random(200) < density)
         assert evaluate_mask(d, mask, cfg, seed=4) == knn_recount(d, mask, cfg, 4)
@@ -219,17 +216,15 @@ def test_wrapper_config_validation():
     with pytest.raises(ConfigError):
         WrapperConfig(threshold=-1.0)
     with pytest.raises(ConfigError):
-        WrapperConfig(k_neighbors=0)
-    with pytest.raises(ConfigError):
         WrapperConfig(protocol="holdout")
     with pytest.raises(ConfigError):
         WrapperConfig(k_folds=1)
 
 
 @pytest.mark.parametrize("key,value,noun", [
-    ("k_folds", 2.5, "an integer"), ("k_neighbors", 1.5, "an integer"),
-    ("k_folds", True, "an integer"), ("threshold", "0.5", "a finite number"),
-    ("threshold", float("nan"), "a finite number"), ("protocol", None, "a string"),
+    ("k_folds", 2.5, "an integer"), ("k_folds", True, "an integer"),
+    ("threshold", "0.5", "a finite number"), ("threshold", float("nan"), "a finite number"),
+    ("protocol", None, "a string"),
 ])
 def test_wrapper_config_rejects_values_of_the_wrong_type(key, value, noun):
     with pytest.raises(ConfigError, match=f"^{key} must be {noun}, got "):

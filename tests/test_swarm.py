@@ -71,6 +71,12 @@ def test_config_rejects_non_finite_bounds_or_width(bounds):
         make_config(bounds=bounds)
 
 
+@pytest.mark.parametrize("bounds", ["ab", [[1, 2], [3]], object()])
+def test_config_rejects_bounds_that_are_not_numbers(bounds):
+    with pytest.raises(ConfigError, match=r"^bounds must be a \(low, high\) pair or a \(2, 2\)"):
+        EpsoConfig(dimension=2, bounds=bounds)
+
+
 def test_config_rejects_bad_group_percentages():
     with pytest.raises(ConfigError):
         make_config(g_pini=0.5, g_pfine=0.9)
