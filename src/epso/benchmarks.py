@@ -118,6 +118,14 @@ def schwefel(z) -> float:
     return 418.9829 * z.shape[-1] - (z * np.sin(np.sqrt(np.abs(z)))).sum(axis=-1)
 
 
+@_base()
+def _schwefel_in_domain(z) -> float:
+    """schwefel around its optimizer at a scaled offset; the scale keeps every
+    component in [-500, 500] for a rotated offset of a point in the default box."""
+    scale = 79.0 / (np.sqrt(z.shape[-1]) * (DEFAULT_HIGH - DEFAULT_LOW))
+    return schwefel(SCHWEFEL_OPTIMUM + scale * z)
+
+
 # ---------------------------------------------------------------------------
 # Transforms and composers
 # ---------------------------------------------------------------------------
@@ -285,15 +293,14 @@ def _shifted_rotated(base: Objective, dim: int, rng: np.random.Generator):
 
 
 # name -> (kind, parts), in registry order: entry i has bias 100 * (i + 1) and
-# draws from spawn key i. A "rotated" or "schwefel" entry has one base
-# function, a hybrid's parts are (base, fraction), a composition's are
-# (base, sigma, bias).
+# draws from spawn key i. A "rotated" entry has one base function, a hybrid's
+# parts are (base, fraction), a composition's are (base, sigma, bias).
 _REGISTRY = {
     "elliptic_rotated": ("rotated", [(elliptic,)]),
     "cigar_rotated": ("rotated", [(cigar,)]),
     "ackley_shifted_rotated": ("rotated", [(ackley,)]),
     "rastrigin_shifted_rotated": ("rotated", [(rastrigin,)]),
-    "schwefel_shifted_rotated": ("schwefel", [(schwefel,)]),
+    "schwefel_shifted_rotated": ("rotated", [(_schwefel_in_domain,)]),
     "hybrid_1": ("hybrid", [(ackley, 0.3), (rastrigin, 0.3), (elliptic, 0.4)]),
     "hybrid_2": ("hybrid", [(elliptic, 0.2), (cigar, 0.2), (ackley, 0.3), (rastrigin, 0.3)]),
     "hybrid_3": ("hybrid", [(elliptic, 0.2), (cigar, 0.2), (ackley, 0.2), (rastrigin, 0.2),
@@ -346,15 +353,7 @@ def registry(name: str, dimension: int, seed: int) -> tuple[ObjectiveSpec, Objec
             comps.append(CompositionComponent(lambda x, b=base, sh=s: b(x - sh), sigma, cbias, s))
         raw, optimum = composition(comps), comps[0].shift
     else:
-        if kind == "schwefel":
-            # map the rotated offset into Schwefel's domain around its optimizer;
-            # the scale keeps every component inside [-500, 500]
-            scale = 79.0 / (np.sqrt(dimension) * (DEFAULT_HIGH - DEFAULT_LOW))
-
-            def inner(z):
-                return schwefel(SCHWEFEL_OPTIMUM + scale * z)
-        else:
-            inner = hybrid(parts) if kind == "hybrid" else parts[0][0]
+        inner = hybrid(parts) if kind == "hybrid" else parts[0][0]
         bounds, optimum, raw = _shifted_rotated(inner, dimension, rng)
     spec = ObjectiveSpec(name, dimension, bounds, bias, np.asarray(optimum, dtype=float))
 

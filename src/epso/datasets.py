@@ -142,11 +142,7 @@ def load_csv(path, label_column: str = "last") -> Dataset:
         raise DataError(f"{path} has no complete data rows")
 
     mapping: dict[str, int] = {}
-    labels = []
-    for lab in raw_labels:
-        if lab not in mapping:
-            mapping[lab] = len(mapping)
-        labels.append(mapping[lab])
+    labels = [mapping.setdefault(lab, len(mapping)) for lab in raw_labels]
     if len(mapping) < 2:
         raise DataError(f"{path} has a single class ({next(iter(mapping))!r})")
 
@@ -198,15 +194,10 @@ def stratified_folds(d: Dataset, k: int, seed: int) -> list[np.ndarray]:
         raise ContractError("smallest class is too small for any stratified split")
 
     rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
-    pointer = 0
-    for c in range(counts.size):
-        idx = np.flatnonzero(d.labels == c)
-        rng.shuffle(idx)
-        for i in idx:
-            folds[pointer % k].append(int(i))
-            pointer += 1
-    return [np.sort(np.array(f, dtype=np.intp)) for f in folds]
+    # each class shuffled, in class order, then dealt round-robin
+    order = np.concatenate([rng.permutation(np.flatnonzero(d.labels == c))
+                            for c in range(counts.size)])
+    return [np.sort(order[f::k]) for f in range(k)]
 
 
 def cfo_index(n_classes: int, n_features: int, n_samples: int) -> float:

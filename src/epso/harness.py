@@ -60,7 +60,7 @@ SWARM_DEFAULTS = {
 class ExperimentConfig:
     """One fully resolved experiment; run i always uses seed base_seed + i.
 
-    swarm holds EpsoConfig keywords (the SWARM_DEFAULTS keys); the missing
+    swarm holds EpsoConfig keywords (SWARM_DEFAULTS keys only); the missing
     ones take EpsoConfig's defaults, and EpsoConfig checks the values.
     """
 
@@ -83,6 +83,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_field_types(self)
+        unknown = sorted(str(k) for k in self.swarm if k not in SWARM_DEFAULTS)
+        if unknown:
+            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
         if self.task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.algorithm not in ALGORITHMS:
@@ -126,13 +129,10 @@ _EXPERIMENT_KEYS = {f.name for f in fields(ExperimentConfig)} - {"task", "swarm"
 def build_config(task: str, values: dict) -> ExperimentConfig:
     """Build a validated config from a flat mapping, rejecting unknown keys.
 
-    The SWARM_DEFAULTS keys go to the swarm block; the rest are fields.
+    The experiment keys are fields; every other key goes to the swarm block.
     """
-    unknown = sorted(set(values) - _EXPERIMENT_KEYS - set(SWARM_DEFAULTS))
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    swarm = {k: v for k, v in values.items() if k in SWARM_DEFAULTS}
-    experiment = {k: v for k, v in values.items() if k not in SWARM_DEFAULTS}
+    swarm = {k: v for k, v in values.items() if k not in _EXPERIMENT_KEYS}
+    experiment = {k: v for k, v in values.items() if k in _EXPERIMENT_KEYS}
     return ExperimentConfig(task=task, swarm=swarm, **experiment)
 
 

@@ -1,19 +1,19 @@
 """Swarm core: standard PSO updates, two-group scheduling, and the seeded run loop.
 
 The optimizer maintains a population of particles over a box-bounded search
-space, held as arrays whose row i is particle i. In "pso" mode every particle
-follows the classic inertia + cognitive + social velocity rule. In "epso" mode
-the population is re-partitioned each iteration into a shrinking exploitative
-group (standard updates) and a growing exploratory group whose particles
-mutate a scheduled number of coordinates ("genes") via a randomized
-recombination of gbest and pbest.
+space, held as arrays whose row i is particle i. EPSO re-partitions the
+population each iteration into a shrinking exploitative group (the classic
+inertia + cognitive + social velocity rule) and a growing exploratory group
+whose particles mutate a scheduled number of coordinates ("genes") via a
+randomized recombination of gbest and pbest. PSO is the flat schedule, both
+group fractions at 1.0, where group 1 is the whole swarm; optimize applies it.
 
 Each step is one array update over all rows. A run draws from one
 np.random.Generator seeded with config.seed, in blocks whose shapes do not
-depend on the mode or the group sizes: init_swarm draws one P x D uniform
-block, and every step draws r1 | r2, the gene keys, then alpha | beta (see
-step). Row i always reads row i of each block, so PSO and EPSO consume the
-same numbers and no result depends on the order rows are evaluated in. An
+depend on the group sizes: init_swarm draws one P x D uniform block, and
+every step draws r1 | r2, the gene keys, then alpha | beta (see step). Row
+i always reads row i of each block, so PSO and EPSO consume the same
+numbers and no result depends on the order rows are evaluated in. An
 objective marked with batch_objective gets all rows in one call per
 iteration; any other objective is called once per particle, with a 1-D row,
 in index order.
@@ -21,10 +21,8 @@ in index order.
 
 from __future__ import annotations
 
-import operator
 import time
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -141,12 +139,11 @@ class SwarmState:
         self.scratch = np.zeros((5,) + self.positions.shape)
 
 
-class Trace(Sequence):
-    """A gbest curve, read as the list of (iteration, gbest) pairs 0..T.
+class Trace:
+    """A gbest curve, read as the (iteration, gbest) pairs 0..T.
 
     The values are held in one read-only float64 array; reading gives Python
-    ints and floats, a slice gives a list, and a trace equals the list of its
-    pairs.
+    ints and floats, and a slice gives a list of pairs.
     """
 
     __slots__ = ("values",)
@@ -159,40 +156,28 @@ class Trace(Sequence):
         return len(self.values)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = operator.index(index)
-        i = i + len(self) if i < 0 else i
-        if not 0 <= i < len(self):
-            raise IndexError("trace index out of range")
-        return i, float(self.values[i])
+        # a range resolves negative indices and slices, and raises IndexError
+        at = range(len(self))[index]
+        if isinstance(at, range):
+            return [(i, float(self.values[i])) for i in at]
+        return at, float(self.values[at])
 
     def __iter__(self):
         return zip(range(len(self)), self.values.tolist())
 
     def __eq__(self, other):
-        return list(self) == (list(other) if isinstance(other, Trace) else other)
-
-    def __repr__(self) -> str:
-        return repr(list(self))
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 @dataclass
 class RunResult:
-    """trace may be given as a list of (iteration, gbest) pairs; it is kept as a Trace."""
-
     best_position: np.ndarray
     best_fitness: float
     trace: Trace
     wall_time: float
     seed: int
-
-    def __post_init__(self):
-        if not isinstance(self.trace, Trace):
-            pairs = list(self.trace)
-            if [it for it, _ in pairs] != list(range(len(pairs))):
-                raise ContractError("a trace's iterations must run 0, 1, ..., in order")
-            self.trace = Trace([value for _, value in pairs])
 
 
 def inertia_weight(iteration: int, config: EpsoConfig) -> float:
@@ -267,8 +252,6 @@ def select_mutation_genes(keys: np.ndarray, m: int) -> np.ndarray:
     d = keys.shape[-1]
     if m > d:
         raise ContractError(f"cannot select {m} genes from {d} dimensions")
-    if m == 0:
-        return np.empty(keys.shape[:-1] + (0,), dtype=np.intp)
     return np.sort(np.argpartition(keys, m - 1, axis=-1)[..., :m], axis=-1)
 
 
@@ -350,39 +333,35 @@ def _evaluate(objective: Objective, positions: np.ndarray) -> np.ndarray:
 
 
 def init_swarm(config: EpsoConfig, objective: Objective, rng: np.random.Generator) -> SwarmState:
-    """Uniform random positions within bounds (one P x D draw), zero velocities, pbest = start."""
+    """Uniform random positions within bounds (one P x D draw), zero velocities,
+    pbest = start; the first values go through update_bests from +inf bests."""
     positions = rng.uniform(config.bounds[:, 0], config.bounds[:, 1],
                             (config.population_size, config.dimension))
-    fitness = _evaluate(objective, positions)
-    fitness[~np.isfinite(fitness)] = np.inf
-    best = int(np.argmin(fitness))
-    return SwarmState(positions, np.zeros_like(positions), positions.copy(), fitness,
-                      positions[best].copy(), float(fitness[best]))
+    swarm = SwarmState(positions, np.zeros_like(positions), positions.copy(),
+                       np.full(len(positions), np.inf), positions[0].copy(), np.inf)
+    return update_bests(swarm, _evaluate(objective, positions))
 
 
 def step(swarm: SwarmState, objective: Objective, config: EpsoConfig,
-         rng: np.random.Generator, mode: str = "epso") -> SwarmState:
+         rng: np.random.Generator) -> SwarmState:
     """Advance the swarm by one iteration (in place; returns the same state).
 
     Group sizes are recomputed from the pre-step iteration counter. Whatever
-    the mode and the group sizes, the step draws, in this order: r1 and r2 as
-    one (2, P, D) block, one P x D block of uniform gene keys, and alpha and
-    beta as one (2, P, m) block on [-1, 1], where m is the scheduled gene
-    count. Group-1 rows take the standard update from their rows of r1 and
-    r2. A group-2 row takes the extended update instead: the m genes holding
-    its smallest keys are mutated with its rows of alpha and beta, and its
-    other coordinates keep their velocity. All rows move, are re-evaluated,
-    and then update their bests together.
+    the group sizes, the step draws, in this order: r1 and r2 as one (2, P, D)
+    block, one P x D block of uniform gene keys, and alpha and beta as one
+    (2, P, m) block on [-1, 1], where m is the scheduled gene count. Group-1
+    rows take the standard update from their rows of r1 and r2. A group-2
+    row takes the extended update instead: the m genes holding its smallest
+    keys are mutated with its rows of alpha and beta, and its other
+    coordinates keep their velocity. All rows move, are re-evaluated, and
+    then update their bests together.
     """
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     if swarm.iteration >= config.max_iterations:
         raise ContractError("swarm already reached max_iterations")
     t = swarm.iteration
     n = len(swarm.positions)
     limit = config.velocity_limit
-    g1 = n if mode == "pso" else group1_size(t, config)
-    _, group2 = assign_groups(swarm.pbest_fitness, g1)
+    _, group2 = assign_groups(swarm.pbest_fitness, group1_size(t, config))
 
     r1, r2, keys, scaled, diff = swarm.scratch
     rng.random(out=swarm.scratch[:3])  # the r1 | r2 block, then the keys block
@@ -413,18 +392,19 @@ def optimize(config: EpsoConfig, objective: Objective, mode: str = "epso") -> Ru
 
     The trace has max_iterations + 1 entries; entry 0 is the state right
     after initialization. (config, seed, objective) fully determine the
-    trace and the returned best, wall time aside.
+    trace and the returned best, wall time aside. "pso" is the flat schedule.
     """
-    mode = mode.lower()
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode == "pso":
+        config = replace(config, g_pini=1.0, g_pfine=1.0)
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     swarm = init_swarm(config, objective, rng)
     trace = np.empty(config.max_iterations + 1)
     trace[0] = swarm.gbest_fitness
     for _ in range(config.max_iterations):
-        step(swarm, objective, config, rng, mode=mode)
+        step(swarm, objective, config, rng)
         trace[swarm.iteration] = swarm.gbest_fitness
     return RunResult(
         best_position=swarm.gbest_position.copy(),

@@ -25,7 +25,7 @@ from epso.harness import (
 )
 from epso import cli, feature_selection, harness
 from epso.cli import main
-from epso.swarm import RunResult
+from epso.swarm import RunResult, Trace
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +68,13 @@ def test_summarize_single_value_and_empty():
 def test_build_config_unknown_key_is_named():
     with pytest.raises(ConfigError, match="populaton"):
         build_config("benchmark", {"function": "hybrid_1", "populaton": 30})
+
+
+@pytest.mark.parametrize("key", ["bogus", "dimension"])
+def test_experiment_config_names_unknown_swarm_keys(key):
+    # dimension is an experiment key, and each run sets the swarm's own
+    with pytest.raises(ConfigError, match=f"^unknown config key\\(s\\): {key}$"):
+        ExperimentConfig(task="benchmark", function="hybrid_1", swarm={key: 1})
 
 
 def test_config_validation():
@@ -518,7 +525,7 @@ DEFAULT_BENCH_CONFIG = {
 
 def test_cli_default_bench_config_is_flat_and_unchanged(tmp_path, capsys, monkeypatch):
     def quick(config, objective, mode="epso"):  # the config does not depend on the search
-        return RunResult(np.zeros(config.dimension), 1.0, [(0, 1.0)], 0.0, config.seed)
+        return RunResult(np.zeros(config.dimension), 1.0, Trace([1.0]), 0.0, config.seed)
 
     monkeypatch.setattr(harness, "optimize", quick)
     monkeypatch.chdir(tmp_path)

@@ -22,7 +22,6 @@ from epso import (
 )
 from epso.benchmarks import available_functions
 from epso.swarm import (
-    RunResult,
     SwarmState,
     Trace,
     _evaluate,
@@ -349,6 +348,24 @@ def test_update_bests_strict_and_nan_rejected():
     assert s.pbest_positions[0, 0] == 0.5 and s.gbest_position[0] == 0.5
 
 
+@pytest.mark.parametrize("values, best", [
+    ([np.nan, 3.0, -np.inf, 1.0, np.inf, 1.0], 3),
+    ([np.inf, np.nan, -np.inf], 0),
+])
+def test_init_swarm_gives_non_finite_rows_an_infinite_pbest(values, best):
+    @batch_objective
+    def fixed(x):
+        return np.array(values)
+
+    cfg = make_config(population_size=len(values))
+    swarm = init_swarm(cfg, fixed, np.random.default_rng(cfg.seed))
+    want = np.where(np.isfinite(values), values, np.inf)
+    assert swarm.pbest_fitness.tolist() == want.tolist()
+    assert np.array_equal(swarm.pbest_positions, swarm.positions)
+    assert swarm.gbest_fitness == want[best]
+    assert np.array_equal(swarm.gbest_position, swarm.positions[best])
+
+
 def sequential_bests(fits, pbest, gbest_fitness):
     """The per-particle writer: rows in index order, strict improvement, finite only."""
     pbest = list(pbest)
@@ -402,7 +419,7 @@ def test_step_single_particle_gbest_is_pbest():
     cfg = make_config(population_size=1, g_pini=1.0, g_pfine=1.0, max_iterations=5)
     rng = np.random.default_rng(cfg.seed)
     swarm = init_swarm(cfg, sphere, rng)
-    step(swarm, sphere, cfg, rng, mode="epso")
+    step(swarm, sphere, cfg, rng)
     assert swarm.gbest_fitness == swarm.pbest_fitness[0]
 
 
@@ -425,6 +442,12 @@ def test_step_past_max_iterations_rejected():
     step(swarm, sphere, cfg, rng)
     with pytest.raises(ContractError):
         step(swarm, sphere, cfg, rng)
+
+
+@pytest.mark.parametrize("mode", [None, 1, "PSO"])
+def test_optimize_rejects_a_mode_outside_modes(mode):
+    with pytest.raises(ConfigError, match="mode must be one of"):
+        optimize(make_config(max_iterations=1), sphere, mode)
 
 
 def test_optimize_zero_iterations_trace_length_one():
@@ -452,12 +475,9 @@ def test_optimize_trace_shape_and_monotonicity():
 def test_positions_and_velocities_stay_bounded(seed, mode):
     cfg = make_config(dimension=4, bounds=[[-3.0, 5.0]] * 4, population_size=10,
                       max_iterations=25, seed=seed, g_pini=0.9, g_pfine=0.4)
-    rng = np.random.default_rng(cfg.seed)
-    swarm = init_swarm(cfg, sphere, rng)
     limit = cfg.velocity_limit
-    for _ in range(cfg.max_iterations):
-        step(swarm, sphere, cfg, rng, mode=mode)
-        lo, hi = cfg.bounds[:, 0], cfg.bounds[:, 1]
+    lo, hi = cfg.bounds[:, 0], cfg.bounds[:, 1]
+    for swarm in run_steps(cfg, sphere, mode, np.random.default_rng(cfg.seed)):
         assert np.all(swarm.positions >= lo) and np.all(swarm.positions <= hi)
         assert np.all(np.abs(swarm.velocities) <= limit + 1e-12)
         assert swarm.gbest_fitness == swarm.pbest_fitness.min()
@@ -573,14 +593,14 @@ def test_non_finite_batch_rows_are_handled_as_per_row():
 
 
 # ---------------------------------------------------------------------------
-# the trace: a list of (iteration, gbest) pairs to its readers
+# the trace: (iteration, gbest) pairs to its readers
 # ---------------------------------------------------------------------------
 
 def test_trace_reads_as_the_list_of_pairs():
     pairs = [(0, 3.5), (1, 2.0), (2, 2.0), (3, -1.25)]
     trace = Trace([v for _, v in pairs])
-    assert trace == pairs and pairs == trace and trace == Trace(trace.values)
-    assert trace != pairs[:-1] and trace != tuple(pairs)
+    assert trace == Trace(trace.values) and trace != Trace(trace.values[:-1])
+    assert trace != pairs  # a trace equals only a trace
     assert len(trace) == 4 and list(trace) == pairs
     assert trace[0] == (0, 3.5) and trace[-1] == (3, -1.25) and trace[-4] == (0, 3.5)
     assert trace[1:3] == pairs[1:3] and trace[:-1] == pairs[:-1] and trace[::-2] == pairs[::-2]
@@ -593,15 +613,8 @@ def test_trace_reads_as_the_list_of_pairs():
         trace.values[0] = 0.0
     with pytest.raises(TypeError):
         hash(trace)
-
-
-def test_run_result_keeps_a_list_trace_as_a_trace():
-    run = RunResult(np.zeros(2), 1.0, [(0, 2.0), (1, 1.0)], 0.0, 0)
-    assert isinstance(run.trace, Trace) and run.trace == [(0, 2.0), (1, 1.0)]
     run = optimize(make_config(max_iterations=1000), sphere)
-    assert run.trace.values.nbytes == 8 * 1001
-    with pytest.raises(ContractError):
-        RunResult(np.zeros(2), 1.0, [(1, 2.0), (2, 1.0)], 0.0, 0)
+    assert isinstance(run.trace, Trace) and run.trace.values.nbytes == 8 * 1001
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +677,7 @@ def test_golden_swarm_state_after_two_group_steps():
     rng = np.random.default_rng(cfg.seed)
     swarm = init_swarm(cfg, fn, rng)
     for _ in range(cfg.max_iterations):
-        step(swarm, fn, cfg, rng, mode="epso")
+        step(swarm, fn, cfg, rng)
     assert [digest(a) for a in (swarm.positions, swarm.velocities, swarm.pbest_positions,
                                 swarm.pbest_fitness, swarm.gbest_position)] == [
         "b8508ba0b82325e01af050327d7abedf6d32caf094520bf87be2c7e1a7f3b962",
@@ -721,10 +734,13 @@ def shifted_sphere(cfg: EpsoConfig, pull: float):
 
 
 def run_steps(cfg, objective, mode, rng):
+    """init_swarm and each step, as optimize runs them: PSO is the flat schedule."""
+    if mode == "pso":
+        cfg = dataclasses.replace(cfg, g_pini=1.0, g_pfine=1.0)
     swarm = init_swarm(cfg, objective, rng)
     yield swarm
     for _ in range(cfg.max_iterations):
-        step(swarm, objective, cfg, rng, mode=mode)
+        step(swarm, objective, cfg, rng)
         yield swarm
 
 
