@@ -12,7 +12,6 @@ import numpy as np
 
 from epso import (
     EpsoConfig,
-    FeatureMask,
     WrapperConfig,
     evaluate_mask,
     normalize_minmax,
@@ -33,9 +32,7 @@ def main():
           f"{data.n_classes} classes")
 
     wrapper = WrapperConfig(protocol="kfold", k_folds=10)
-    baseline = evaluate_mask(
-        data, FeatureMask(np.ones(N_FEATURES, dtype=bool)), wrapper
-    )
+    baseline = evaluate_mask(data, np.ones(N_FEATURES, dtype=bool), wrapper)
     print(f"\nall-features 1NN accuracy (10-fold): {baseline:.4f}")
 
     cfg = EpsoConfig(
@@ -46,10 +43,10 @@ def main():
         seed=3,
     )
     result = select_features(data, cfg, wrapper)
-    print(f"\nselected {result.mask.count} of {N_FEATURES} features "
+    print(f"\nselected {result.mask.sum()} of {N_FEATURES} features "
           f"with accuracy {result.accuracy:.4f} "
           f"({result.wall_time:.2f}s)")
-    print("selected:", ", ".join(np.array(data.feature_names)[result.mask.selected]))
+    print("selected:", ", ".join(np.array(data.feature_names)[result.mask]))
 
     # the dataset name records which columns were informative
     informative = data.name.split("inf[")[1].rstrip("]")

@@ -15,7 +15,6 @@ from .errors import (
     UnknownFunctionError,
 )
 from .feature_selection import (
-    FeatureMask,
     WrapperConfig,
     evaluate_mask,
     position_bounds,

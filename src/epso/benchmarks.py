@@ -161,10 +161,25 @@ def apply_transform(x, t: TransformSpec) -> np.ndarray:
     return np.matmul(t.rotation, (x - t.shift)[..., None])[..., 0]
 
 
-def _block_sizes(fractions, dim: int) -> list[int]:
-    """Contiguous block sizes of a hybrid at dim; the last absorbs the rounding."""
-    sizes = [int(round(f * dim)) for f in fractions[:-1]]
+def _block_sizes(parts, dim: int) -> list[int]:
+    """Contiguous block sizes of a hybrid's (base, fraction) parts at dim.
+
+    Each fraction is rounded and the last block absorbs the rest. Where that
+    gives a base fewer coordinates than its least_dimension, the
+    largest-remainder split (ties to the earlier part) is used if every base
+    fits in it; otherwise the rounded split stands.
+    """
+    shares = [fraction * dim for _, fraction in parts]
+    least = [getattr(base, "least_dimension", 1) for base, _ in parts]
+    sizes = [int(round(share)) for share in shares[:-1]]
     sizes.append(dim - sum(sizes))
+    if any(s < n for s, n in zip(sizes, least)):
+        fallback = [int(share) for share in shares]
+        by_remainder = sorted(range(len(parts)), key=lambda i: fallback[i] - shares[i])
+        for i in by_remainder[:dim - sum(fallback)]:
+            fallback[i] += 1
+        if all(s >= n for s, n in zip(fallback, least)):
+            sizes = fallback
     if any(s < 1 for s in sizes):
         raise ContractError(f"hybrid blocks must be non-empty; got sizes {sizes} for dim {dim}")
     return sizes
@@ -173,20 +188,19 @@ def _block_sizes(fractions, dim: int) -> list[int]:
 def hybrid(parts: Sequence[tuple[Objective, float]]) -> Objective:
     """Split the input into contiguous blocks by fraction and sum the parts.
 
-    Fractions must sum to 1; the last block absorbs rounding remainder. Every
-    block must end up with at least one dimension.
+    Fractions must sum to 1; the blocks follow _block_sizes. Every block must
+    end up with at least one dimension.
     """
     if not parts:
         raise ContractError("hybrid needs at least one part")
-    fractions = np.array([f for _, f in parts], dtype=float)
-    if abs(fractions.sum() - 1.0) > 1e-9:
+    if abs(sum(fraction for _, fraction in parts) - 1.0) > 1e-9:
         raise ContractError("hybrid fractions must sum to 1")
 
     def objective(z) -> float:
         z = np.asarray(z, dtype=float)
         total = 0.0
         start = 0
-        for (fn, _), size in zip(parts, _block_sizes(fractions, z.shape[-1])):
+        for (fn, _), size in zip(parts, _block_sizes(parts, z.shape[-1])):
             total = total + fn(z[..., start:start + size])
             start += size
         return _value(total)
@@ -334,8 +348,7 @@ def registry(name: str, dimension: int, seed: int) -> tuple[ObjectiveSpec, Objec
     if dimension < 1:
         raise ContractError("dimension must be positive")
     kind, parts = _REGISTRY[name]
-    sizes = (_block_sizes([fraction for _, fraction in parts], dimension) if kind == "hybrid"
-             else [dimension] * len(parts))
+    sizes = _block_sizes(parts, dimension) if kind == "hybrid" else [dimension] * len(parts)
     for (base, *_), size in zip(parts, sizes):
         if size < base.least_dimension:
             raise ContractError(f"{name} at dimension {dimension} gives {base.__name__} {size}"

@@ -18,18 +18,6 @@ POSITION_LOW, POSITION_HIGH = -1.0, 1.0
 
 
 @dataclass(frozen=True)
-class FeatureMask:
-    selected: np.ndarray  # boolean, length n_features
-
-    def __post_init__(self):
-        object.__setattr__(self, "selected", np.asarray(self.selected, dtype=bool))
-
-    @property
-    def count(self) -> int:
-        return int(self.selected.sum())
-
-
-@dataclass(frozen=True)
 class WrapperConfig:
     """How candidate masks are scored."""
 
@@ -49,16 +37,15 @@ class WrapperConfig:
 
 @dataclass
 class FeatureSelectionResult:
-    mask: FeatureMask
+    mask: np.ndarray  # (F,) bool
     accuracy: float
     wall_time: float
     run: RunResult
 
 
-def binarize(position, threshold: float) -> FeatureMask:
-    """Select feature f iff position_f > threshold (strictly)."""
-    position = np.asarray(position, dtype=float)
-    return FeatureMask(position > threshold)
+def binarize(position, threshold: float) -> np.ndarray:
+    """The (F,) bool mask selecting feature f iff position_f > threshold (strictly)."""
+    return np.asarray(position, dtype=float) > threshold
 
 
 def knn_classify(train_features, train_labels, query, k: int = 1) -> int:
@@ -114,14 +101,17 @@ def _fold_ids(d: Dataset, cfg: WrapperConfig, seed: int) -> np.ndarray:
     return fold_id
 
 
-def _masked_accuracy(d: Dataset, mask: FeatureMask, fold_id: np.ndarray) -> float:
-    if mask.count == 0:
+def _masked_accuracy(d: Dataset, mask: np.ndarray, fold_id: np.ndarray) -> float:
+    if not mask.any():
         return 0.0  # empty masks score worst instead of erroring
-    return _knn_accuracy(d.features[:, mask.selected], d.labels, fold_id)
+    return _knn_accuracy(d.features[:, mask], d.labels, fold_id)
 
 
-def evaluate_mask(d: Dataset, mask: FeatureMask, cfg: WrapperConfig, seed: int = 0) -> float:
-    """Protocol accuracy of the mask's feature subset; empty masks score 0."""
+def evaluate_mask(d: Dataset, mask, cfg: WrapperConfig, seed: int = 0) -> float:
+    """Protocol accuracy of the feature subset a (F,) bool mask selects; empty masks score 0."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (d.n_features,):
+        raise ContractError(f"mask must have shape ({d.n_features},), got {mask.shape}")
     return _masked_accuracy(d, mask, _fold_ids(d, cfg, seed))
 
 

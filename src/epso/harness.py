@@ -187,7 +187,7 @@ def _selection_setup(cfg: ExperimentConfig):
 
     def run(ec: EpsoConfig, algo: str):
         r = select_features(data, ec, wrapper_cfg, mode=algo)
-        return r.run, {"seed": ec.seed, "accuracy": r.accuracy, "features": r.mask.count,
+        return r.run, {"seed": ec.seed, "accuracy": r.accuracy, "features": int(r.mask.sum()),
                        "time_sec": r.wall_time}
 
     def row(algo: str, records: list[dict]) -> dict:

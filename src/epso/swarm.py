@@ -22,7 +22,7 @@ in index order.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -130,13 +130,6 @@ class SwarmState:
     gbest_position: np.ndarray  # (D,)
     gbest_fitness: float
     iteration: int = 0
-    # step's work space, reused every iteration so large swarms make no new
-    # arrays: r1, r2, the gene keys and the two work arrays of the standard
-    # update, each (P, D); the three draws are contiguous so one call fills them
-    scratch: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.scratch = np.zeros((5,) + self.positions.shape)
 
 
 class Trace:
@@ -190,39 +183,28 @@ def inertia_weight(iteration: int, config: EpsoConfig) -> float:
 
 def update_velocity_standard(
     x: np.ndarray, v: np.ndarray, pbest: np.ndarray, gbest: np.ndarray, w: float, c1: float,
-    c2: float, r1: np.ndarray, r2: np.ndarray, limit: np.ndarray, out: np.ndarray | None = None,
-    work: tuple[np.ndarray, np.ndarray] | None = None,
+    c2: float, r1: np.ndarray, r2: np.ndarray, limit: np.ndarray,
 ) -> np.ndarray:
     """v' = w*v + c1*r1*(pbest - x) + c2*r2*(gbest - x), clamped to [-limit, limit].
 
     x, v, pbest, r1 and r2 share one shape: one particle (D,) or a block of
-    rows (k, D). r1 and r2 are the uniform draws on [0, 1]. The result goes
-    to out when given (out may be v). work is a pair of arrays shaped like x
-    for the two products; with out and work given, no array is allocated.
+    rows (k, D). r1 and r2 are the uniform draws on [0, 1].
     """
     shape = x.shape
     if not (v.shape == pbest.shape == r1.shape == r2.shape == shape and gbest.shape == shape[-1:]):
         raise ContractError("position, velocity, pbest, gbest and draws must share one dimension")
-    scaled, diff = work if work is not None else np.empty((2,) + shape)
-    new = np.multiply(v, w, out=out)
-    for c, r, target in ((c1, r1, pbest), (c2, r2, gbest)):
-        np.multiply(r, c, out=scaled)  # (c*r) * (target - x), in the order of the formula
-        np.subtract(target, x, out=diff)
-        scaled *= diff
-        new += scaled
+    new = v * w + (c1 * r1) * (pbest - x) + (c2 * r2) * (gbest - x)
     np.maximum(new, -limit, out=new)
     return np.minimum(new, limit, out=new)
 
 
-def apply_velocity(
-    position: np.ndarray, velocity: np.ndarray, bounds: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
+def apply_velocity(position: np.ndarray, velocity: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """x' = x + v, clamped back into the search box; rows or a single particle."""
     x = np.asarray(position, dtype=float)
     v = np.asarray(velocity, dtype=float)
     if x.shape != v.shape:
         raise ContractError("position and velocity must share one dimension")
-    new = np.add(x, v, out=out)
+    new = x + v
     np.maximum(new, bounds[:, 0], out=new)
     return np.minimum(new, bounds[:, 1], out=new)
 
@@ -344,7 +326,7 @@ def init_swarm(config: EpsoConfig, objective: Objective, rng: np.random.Generato
 
 def step(swarm: SwarmState, objective: Objective, config: EpsoConfig,
          rng: np.random.Generator) -> SwarmState:
-    """Advance the swarm by one iteration (in place; returns the same state).
+    """Advance the swarm by one iteration and return it; the state's arrays are new ones.
 
     Group sizes are recomputed from the pre-step iteration counter. Whatever
     the group sizes, the step draws, in this order: r1 and r2 as one (2, P, D)
@@ -361,26 +343,21 @@ def step(swarm: SwarmState, objective: Objective, config: EpsoConfig,
     t = swarm.iteration
     n = len(swarm.positions)
     limit = config.velocity_limit
-    _, group2 = assign_groups(swarm.pbest_fitness, group1_size(t, config))
-
-    r1, r2, keys, scaled, diff = swarm.scratch
-    rng.random(out=swarm.scratch[:3])  # the r1 | r2 block, then the keys block
+    r1, r2, keys = rng.random((3,) + swarm.positions.shape)
     m = mutation_gene_count(t, config)
     alpha, beta = rng.uniform(-1.0, 1.0, (2, n, m))
-    mutated = None
-    if group2.size:
-        mutated = update_velocity_extended(
+
+    v = update_velocity_standard(
+        swarm.positions, swarm.velocities, swarm.pbest_positions, swarm.gbest_position,
+        inertia_weight(t, config), config.c1, config.c2, r1, r2, limit)
+    g1 = group1_size(t, config)
+    if g1 < n:
+        _, group2 = assign_groups(swarm.pbest_fitness, g1)
+        v[group2] = update_velocity_extended(
             swarm.velocities[group2], swarm.pbest_positions[group2], swarm.gbest_position,
             select_mutation_genes(keys[group2], m), alpha[group2], beta[group2], limit)
-
-    update_velocity_standard(
-        swarm.positions, swarm.velocities, swarm.pbest_positions, swarm.gbest_position,
-        inertia_weight(t, config), config.c1, config.c2, r1, r2, limit,
-        out=swarm.velocities, work=(scaled, diff),
-    )
-    if mutated is not None:
-        swarm.velocities[group2] = mutated
-    apply_velocity(swarm.positions, swarm.velocities, config.bounds, out=swarm.positions)
+    swarm.velocities = v
+    swarm.positions = apply_velocity(swarm.positions, v, config.bounds)
 
     update_bests(swarm, _evaluate(objective, swarm.positions))
     swarm.iteration += 1

@@ -14,7 +14,6 @@ import pytest
 
 from epso import (
     EpsoConfig,
-    FeatureMask,
     evaluate_mask,
     group1_size,
     mutation_gene_count,
@@ -169,10 +168,10 @@ def test_acceptance_06_nearest_neighbor_oracle():
         # LOO accuracy vs. all-pairs brute force on a random mask
         from epso.datasets import Dataset
         d = Dataset(x, y, tuple(f"g{i}" for i in range(f)), f"case{case}")
-        mask = FeatureMask(rng.random(f) > 0.3)
-        if mask.count == 0:
-            mask = FeatureMask(np.ones(f, dtype=bool))
-        xm = x[:, mask.selected]
+        mask = rng.random(f) > 0.3
+        if not mask.any():
+            mask = np.ones(f, dtype=bool)
+        xm = x[:, mask]
         hits = 0
         for i in range(n):
             dd = [
@@ -192,7 +191,7 @@ def test_acceptance_07_feature_selection_competence():
     d = normalize_minmax(synth_dataset(200, 500, 10, seed=42))
     wrapper = WrapperConfig(protocol="kfold", k_folds=10)
     baseline = evaluate_mask(
-        d, FeatureMask(np.ones(500, dtype=bool)), wrapper, seed=0
+        d, np.ones(500, dtype=bool), wrapper, seed=0
     )
     best_acc, best_count = -1.0, 501
     for run in range(30):
@@ -201,8 +200,8 @@ def test_acceptance_07_feature_selection_competence():
             max_iterations=30, seed=run,
         )
         res = select_features(d, cfg, wrapper)
-        if (res.accuracy, -res.mask.count) > (best_acc, -best_count):
-            best_acc, best_count = res.accuracy, res.mask.count
+        if (res.accuracy, -res.mask.sum()) > (best_acc, -best_count):
+            best_acc, best_count = res.accuracy, res.mask.sum()
     assert best_acc >= baseline, (best_acc, baseline)
     assert best_count <= 250, best_count
     print(f"  best-of-runs accuracy {best_acc:.4f} >= baseline {baseline:.4f}, "

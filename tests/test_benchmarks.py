@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from epso import ContractError, UnknownFunctionError, registry
 from epso.benchmarks import (
+    _REGISTRY,
     CompositionComponent,
     TransformSpec,
+    _block_sizes,
     ackley,
     apply_transform,
     available_functions,
@@ -228,7 +230,7 @@ def test_registry_pure_repeat_evaluation():
 
 def test_registry_shift_within_central_band():
     for name in available_functions():
-        spec, _ = registry(name, 9, seed=9)  # at D=8 a hybrid_3 block would be empty
+        spec, _ = registry(name, 9, seed=9)
         lo, hi = spec.bounds[:, 0], spec.bounds[:, 1]
         mid, half = (lo + hi) / 2, 0.4 * (hi - lo)
         assert np.all(spec.optimum >= mid - half) and np.all(spec.optimum <= mid + half)
@@ -466,6 +468,32 @@ def test_registry_rejects_a_cigar_block_of_one_dimension():
                       ("composition_2", 1), ("composition_3", 1)]:
         with pytest.raises(ContractError, match=f"{name} at dimension {dim} gives cigar 1"):
             registry(name, dim, seed=0)
+
+
+def test_hybrid_3_splits_dimensions_7_and_8_by_largest_remainder():
+    # the rounded splits, [1, 1, 1, 1, 3] and [2, 2, 2, 2, 0], give cigar one
+    # coordinate and leave the last block empty
+    parts = _REGISTRY["hybrid_3"][1]
+    rng = np.random.default_rng(2)
+    for dim, sizes in [(7, [2, 2, 1, 1, 1]), (8, [2, 2, 2, 1, 1])]:
+        assert _block_sizes(parts, dim) == sizes
+        z = rng.uniform(-5.0, 5.0, dim)
+        ends = np.cumsum([0] + sizes)
+        want = sum(base(z[a:b]) for (base, _), a, b in zip(parts, ends[:-1], ends[1:]))
+        assert hybrid(parts)(z) == want
+        spec, fn = registry("hybrid_3", dim, seed=0)
+        assert np.isfinite(fn(rng.uniform(-100.0, 100.0, (5, dim)))).all()
+        assert fn(spec.optimum) == pytest.approx(spec.bias, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", ["hybrid_1", "hybrid_2", "hybrid_3"])
+def test_block_sizes_keep_the_rounded_split_wherever_it_fits(name):
+    parts = _REGISTRY[name][1]
+    for dim in range(1, 201):
+        rounded = [int(round(fraction * dim)) for _, fraction in parts[:-1]]
+        rounded.append(dim - sum(rounded))
+        if all(size >= base.least_dimension for (base, _), size in zip(parts, rounded)):
+            assert _block_sizes(parts, dim) == rounded, dim
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from epso import (
     ConfigError,
     ContractError,
     EpsoConfig,
-    FeatureMask,
     WrapperConfig,
     evaluate_mask,
     position_bounds,
@@ -29,15 +28,15 @@ def small_dataset(seed=0, n=24, f=6, informative=2):
 
 def test_binarize_strict_threshold():
     m = binarize([0.6, 0.5, 0.4, -1.0, 1.0], 0.5)
-    assert m.selected.tolist() == [True, False, False, False, True]
-    assert m.count == 2
+    assert m.dtype == bool and m.tolist() == [True, False, False, False, True]
+    assert m.sum() == 2
 
 
 def test_binarize_extreme_thresholds():
     # threshold -1 selects everything in (-1, 1]; threshold just under +1
     # keeps only positions above it
-    assert binarize([-0.9, 0.0, 1.0], -1.0).count == 3
-    assert binarize([-0.9, 0.0, 1.0], 0.999).count == 1
+    assert binarize([-0.9, 0.0, 1.0], -1.0).sum() == 3
+    assert binarize([-0.9, 0.0, 1.0], 0.999).sum() == 1
 
 
 def test_binarize_monotone_in_threshold():
@@ -45,7 +44,7 @@ def test_binarize_monotone_in_threshold():
     pos = rng.uniform(-1, 1, 50)
     prev = 51
     for t in np.linspace(-0.99, 0.99, 21):
-        c = binarize(pos, t).count
+        c = binarize(pos, t).sum()
         assert c <= prev
         prev = c
 
@@ -112,22 +111,22 @@ def test_loo_accuracy_matches_brute_force():
     rng = np.random.default_rng(1)
     for seed in range(10):
         d = small_dataset(seed=seed, n=16, f=4)
-        mask = FeatureMask(rng.random(4) > 0.3)
-        if mask.count == 0:
+        mask = rng.random(4) > 0.3
+        if not mask.any():
             continue
         cfg = WrapperConfig(protocol="loo")
         got = evaluate_mask(d, mask, cfg)
-        want = brute_force_loo(d.features[:, mask.selected], d.labels)
+        want = brute_force_loo(d.features[:, mask], d.labels)
         assert got == pytest.approx(want)
 
 
 def test_kfold_accuracy_matches_per_fold_brute_force():
     d = small_dataset(seed=2, n=20, f=5)
-    mask = FeatureMask([True, False, True, True, False])
+    mask = np.array([True, False, True, True, False])
     cfg = WrapperConfig(protocol="kfold", k_folds=4)
     got = evaluate_mask(d, mask, cfg, seed=3)
 
-    x = d.features[:, mask.selected]
+    x = d.features[:, mask]
     y = d.labels
     folds = stratified_folds(d, 4, seed=3)
     accs = []
@@ -142,9 +141,9 @@ def test_kfold_accuracy_matches_per_fold_brute_force():
 
 def knn_recount(d, mask, cfg, seed):
     """Mean per-fold accuracy, recounted query by query with knn_classify."""
-    if mask.count == 0:
+    if not mask.any():
         return 0.0
-    x = d.features[:, mask.selected]
+    x = d.features[:, mask]
     y = d.labels
     if cfg.protocol == "loo":
         folds = [np.array([i]) for i in range(d.n_samples)]
@@ -170,7 +169,7 @@ def tie_heavy_cases(draw):
     x = draw(arrays(np.int64, (n, f), elements=st.integers(0, 3))).astype(float)
     labels = np.array(draw(st.permutations(list(np.arange(n) % n_classes))))
     d = Dataset(x, labels, tuple(f"f{i}" for i in range(f)), "ties")
-    mask = FeatureMask(draw(arrays(np.bool_, f)))
+    mask = draw(arrays(np.bool_, f))
     protocol = draw(st.sampled_from(["loo", "kfold"]))
     k_folds = draw(st.integers(2, n // n_classes))  # never more than the smallest class
     cfg = WrapperConfig(protocol=protocol, k_folds=k_folds)
@@ -189,7 +188,7 @@ def test_kernel_matches_knn_recount_on_float_kfold():
     cfg = WrapperConfig(protocol="kfold", k_folds=5)
     rng = np.random.default_rng(1)
     for density in (0.05, 0.3, 0.9):
-        mask = FeatureMask(rng.random(200) < density)
+        mask = rng.random(200) < density
         assert evaluate_mask(d, mask, cfg, seed=4) == knn_recount(d, mask, cfg, 4)
 
 
@@ -197,7 +196,16 @@ def test_empty_mask_scores_zero():
     d = small_dataset()
     for protocol in ("loo", "kfold"):
         cfg = WrapperConfig(protocol=protocol, k_folds=3)
-        assert evaluate_mask(d, FeatureMask(np.zeros(6, dtype=bool)), cfg) == 0.0
+        assert evaluate_mask(d, np.zeros(6, dtype=bool), cfg) == 0.0
+
+
+def test_evaluate_mask_refuses_a_mask_of_the_wrong_shape():
+    d = small_dataset()
+    cfg = WrapperConfig(protocol="loo")
+    for mask in (np.ones(5, dtype=bool), np.ones((1, 6), dtype=bool), True):
+        with pytest.raises(ContractError, match=r"mask must have shape \(6,\), got"):
+            evaluate_mask(d, mask, cfg)
+    assert evaluate_mask(d, [0, 1, 1, 0, 1, 1], cfg) == evaluate_mask(d, np.arange(6) % 3 > 0, cfg)
 
 
 def test_evaluate_mask_ignores_unselected_columns():
@@ -205,7 +213,7 @@ def test_evaluate_mask_ignores_unselected_columns():
     noisy = d.features.copy()
     noisy[:, 0] = np.random.default_rng(0).normal(size=d.n_samples) * 100
     d2 = Dataset(noisy, d.labels, d.feature_names, "t")
-    mask = FeatureMask([False, True, True, True, True, True])
+    mask = np.array([False, True, True, True, True, True])
     cfg = WrapperConfig(protocol="loo")
     assert evaluate_mask(d, mask, cfg) == evaluate_mask(d2, mask, cfg)
 
@@ -274,7 +282,7 @@ def test_select_features_deterministic():
     cfg = WrapperConfig(protocol="loo")
     a = select_features(d, make_epso(d, seed=5), cfg)
     b = select_features(d, make_epso(d, seed=5), cfg)
-    assert np.array_equal(a.mask.selected, b.mask.selected)
+    assert np.array_equal(a.mask, b.mask)
     assert a.accuracy == b.accuracy
 
 
@@ -283,8 +291,7 @@ def test_select_features_accuracy_consistent_with_mask():
     cfg = WrapperConfig(protocol="loo")
     res = select_features(d, make_epso(d, seed=5), cfg)
     assert res.accuracy == pytest.approx(evaluate_mask(d, res.mask, cfg))
-    assert np.array_equal(res.mask.selected,
-                          binarize(res.run.best_position, cfg.threshold).selected)
+    assert np.array_equal(res.mask, binarize(res.run.best_position, cfg.threshold))
     assert 0.0 <= res.accuracy <= 1.0
     assert res.wall_time >= 0.0
 
@@ -296,7 +303,7 @@ def test_pso_and_degenerate_epso_find_same_mask():
     degen = select_features(
         d, make_epso(d, seed=2, g_pini=1.0, g_pfine=1.0), cfg, mode="epso"
     )
-    assert np.array_equal(pso.mask.selected, degen.mask.selected)
+    assert np.array_equal(pso.mask, degen.mask)
     assert pso.accuracy == degen.accuracy
 
 
@@ -316,5 +323,5 @@ def test_selection_recovers_informative_signal():
     d = synth_dataset(40, 12, 2, seed=1, separation=6.0)
     cfg = WrapperConfig(protocol="loo")
     res = select_features(d, make_epso(d, seed=4, max_iterations=20), cfg)
-    baseline = evaluate_mask(d, FeatureMask(np.ones(12, dtype=bool)), cfg)
+    baseline = evaluate_mask(d, np.ones(12, dtype=bool), cfg)
     assert res.accuracy >= baseline

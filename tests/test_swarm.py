@@ -153,19 +153,15 @@ def test_standard_velocity_dimension_mismatch():
         update_velocity_standard(z, z, z, z, 1.0, 1.0, 1.0, np.ones(2), np.ones(3), LIMIT)
 
 
-def test_standard_velocity_block_matches_rows_and_writes_out():
+def test_standard_velocity_block_matches_rows():
     rng = np.random.default_rng(3)
     x, v, pb, r1, r2 = (rng.uniform(-10.0, 10.0, (6, 3)) for _ in range(5))
     g = rng.uniform(-10.0, 10.0, 3)
+    draws = (r1.copy(), r2.copy())
     rows = [update_velocity_standard(x[i], v[i], pb[i], g, 0.7, 2.0, 1.5, r1[i], r2[i], LIMIT)
             for i in range(6)]
     block = update_velocity_standard(x, v, pb, g, 0.7, 2.0, 1.5, r1, r2, LIMIT)
     assert np.array_equal(block, np.stack(rows))  # bit-identical, no tolerance
-    out, work = v.copy(), (np.empty((6, 3)), np.empty((6, 3)))
-    draws = (r1.copy(), r2.copy())
-    moved = update_velocity_standard(x, out, pb, g, 0.7, 2.0, 1.5, r1, r2, LIMIT, out=out, work=work)
-    assert moved is out
-    assert np.array_equal(out, block)
     assert np.array_equal(r1, draws[0]) and np.array_equal(r2, draws[1])  # the draws are only read
 
 
@@ -175,9 +171,8 @@ def test_apply_velocity_identity_sum_and_clamp():
     assert np.array_equal(apply_velocity(np.zeros(1), np.ones(1), bounds), np.ones(1))
     assert np.array_equal(apply_velocity(np.array([4.0]), np.array([3.0]), bounds), np.array([5.0]))
     rows = np.array([[4.0], [-4.0], [0.0]])
-    out = rows.copy()
-    moved = apply_velocity(out, np.array([[3.0], [-3.0], [1.0]]), bounds, out=out)
-    assert moved is out and np.array_equal(out, np.array([[5.0], [-5.0], [1.0]]))
+    moved = apply_velocity(rows, np.array([[3.0], [-3.0], [1.0]]), bounds)
+    assert np.array_equal(moved, np.array([[5.0], [-5.0], [1.0]]))
 
 
 def test_apply_velocity_dimension_mismatch():
