@@ -6,10 +6,10 @@ for high-dimensional selection experiments.
 from __future__ import annotations
 
 import csv
-import itertools
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,15 +18,19 @@ from .errors import ContractError, DataError
 
 @dataclass(frozen=True)
 class Dataset:
-    """An immutable, finite feature matrix with dense integer class labels."""
+    """An immutable, finite feature matrix with dense integer class labels.
 
-    features: np.ndarray      # (n_samples, n_features) float
+    features is stored feature-major (Fortran order, each feature's column
+    contiguous), so the column gather of a feature mask copies whole columns.
+    """
+
+    features: np.ndarray      # (n_samples, n_features) float, Fortran order
     labels: np.ndarray        # (n_samples,) int, dense 0..C-1
     feature_names: tuple[str, ...]
     name: str = "dataset"
 
     def __post_init__(self):
-        x = np.asarray(self.features, dtype=float)
+        x = np.asarray(self.features, dtype=float, order="F")
         y = np.asarray(self.labels, dtype=int)
         if x.ndim != 2:
             raise DataError("features must be a 2-D matrix")
@@ -78,22 +82,23 @@ def _csv_rows(path: Path):
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def load_csv(path, label_column: str = "last") -> Dataset:
-    """Load a comma-delimited UTF-8 file into a Dataset.
+class _Head(NamedTuple):
+    """What the first non-blank record says about the file's layout."""
 
-    label_column is "first", "last", or a header name. A header row is
-    auto-detected when any feature cell of the first row is non-numeric.
-    Rows containing empty cells are dropped (with a warning giving the count);
-    non-numeric feature cells are an error naming the row and column.
-    Class identifiers map to dense integers in first-occurrence order.
-    The file is parsed row by row, so only the numbers are held in memory.
-    """
-    path = Path(path)
+    width: int
+    label_idx: int
+    names: tuple[str, ...]
+    has_header: bool
+    skip: int  # records before the first data record, blank ones included
+
+
+def _read_head(path: Path, label_column: str) -> _Head:
     rows = _csv_rows(path)
     first_record = next(rows, None)
+    rows.close()
     if first_record is None:
         raise DataError(f"{path} contains no data")
-    first = [c.strip() for c in first_record[1]]
+    line, first = first_record[0], [c.strip() for c in first_record[1]]
 
     width = len(first)
     by_name = label_column not in ("first", "last")
@@ -112,26 +117,64 @@ def load_csv(path, label_column: str = "last") -> Dataset:
     )
     if has_header:
         names = tuple(c for i, c in enumerate(first) if i != label_idx)
-    else:
-        names = tuple(f"f{i}" for i in range(width - 1))
-        rows = itertools.chain([first_record], rows)
+        return _Head(width, label_idx, names, True, line)
+    return _Head(width, label_idx, tuple(f"f{i}" for i in range(width - 1)), False, line - 1)
 
+
+def _parse_numbers(path: Path, head: _Head) -> tuple[np.ndarray, list[str]]:
+    """The data records in one np.loadtxt pass: the (n, F) feature-major
+    matrix and the stripped label cells.
+
+    Raises on anything the C reader refuses (empty, unparseable or quoted
+    cells, ragged rows, no data), so the caller can fall back to _parse_rows.
+    """
+    with open(path, "rb") as fh:  # a quoted record may span lines; skiprows counts lines
+        if any(b'"' in chunk for chunk in iter(lambda: fh.read(1 << 20), b"")):
+            raise ValueError("quoted cells are left to the csv module")
+    labels: list[str] = []
+
+    def label(cell: str) -> float:
+        cell = cell.strip()
+        if not cell:
+            raise ValueError("empty label cell")
+        labels.append(cell)
+        return 0.0
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # e.g. "input contained no data"
+        table = np.loadtxt(path, delimiter=",", comments=None, skiprows=head.skip,
+                           ndmin=2, encoding="utf-8", converters={head.label_idx: label})
+    if table.shape[1] != head.width or len(labels) != table.shape[0]:
+        raise ValueError("data records do not match the first record")
+    k = head.label_idx
+    features = np.empty((table.shape[0], head.width - 1), order="F")
+    features[:, :k] = table[:, :k]
+    features[:, k:] = table[:, k + 1:]
+    return features, labels
+
+
+def _parse_rows(path: Path, head: _Head) -> tuple[np.ndarray, list[str]]:
+    """The data records read one at a time with csv.reader: rows with empty
+    cells are dropped with a warning, and any other fault is a DataError
+    naming its record."""
     features: list[np.ndarray] = []
     raw_labels: list[str] = []
     dropped = 0
-    for line, row in rows:
-        if len(row) != width:
-            raise DataError(f"row {line}: expected {width} cells, got {len(row)}")
+    for line, row in _csv_rows(path):
+        if line <= head.skip:
+            continue
+        if len(row) != head.width:
+            raise DataError(f"row {line}: expected {head.width} cells, got {len(row)}")
         cells = [c.strip() for c in row]
         if "" in cells:
             dropped += 1
             continue
-        raw_labels.append(cells.pop(label_idx))
+        raw_labels.append(cells.pop(head.label_idx))
         try:
             features.append(np.array(list(map(float, cells))))
         except ValueError:
             j = next(j for j, c in enumerate(cells) if not _is_number(c))
-            col = names[j] if has_header else f"f{j if j < label_idx else j + 1}"
+            col = head.names[j] if head.has_header else f"f{j if j < head.label_idx else j + 1}"
             raise DataError(
                 f"row {line}, column {col!r}: cannot parse {cells[j]!r} as a number"
             ) from None
@@ -140,16 +183,43 @@ def load_csv(path, label_column: str = "last") -> Dataset:
         warnings.warn(f"{path.name}: dropped {dropped} row(s) with missing cells")
     if not features:
         raise DataError(f"{path} has no complete data rows")
+    return np.asarray(features, dtype=float, order="F"), raw_labels
 
+
+def load_csv(path, label_column: str = "last") -> Dataset:
+    """Load a comma-delimited UTF-8 file into a Dataset.
+
+    label_column is "first", "last", or a header name. A header row is
+    auto-detected when any feature cell of the first row is non-numeric.
+    Rows containing empty cells are dropped (with a warning giving the count);
+    non-numeric feature cells are an error naming the row and column.
+    Class identifiers map to dense integers in first-occurrence order.
+
+    A file without a '"' is parsed in one np.loadtxt pass, which holds the
+    numeric table and the feature matrix copied out of it. Anything that
+    reader refuses (quoted, empty or unparseable cells, ragged rows, floats
+    only Python's float() reads, such as 1_000 or non-ASCII digits) sends
+    the file through the csv module row by row instead, so every accepted
+    value, warning and error message is the row parser's.
+    """
+    path = Path(path)
+    head = _read_head(path, label_column)
+    try:
+        parsed = _parse_numbers(path, head)
+    except Exception:  # whatever the C reader refuses, the row parser reads or names
+        parsed = _parse_rows(path, head)
+    return _dataset(path, head, *parsed)
+
+
+def _dataset(path: Path, head: _Head, features: np.ndarray, raw_labels: list[str]) -> Dataset:
     mapping: dict[str, int] = {}
     labels = [mapping.setdefault(lab, len(mapping)) for lab in raw_labels]
     if len(mapping) < 2:
         raise DataError(f"{path} has a single class ({next(iter(mapping))!r})")
-
     return Dataset(
-        features=np.asarray(features, dtype=float),
+        features=features,
         labels=np.asarray(labels, dtype=int),
-        feature_names=names,
+        feature_names=head.names,
         name=path.stem,
     )
 

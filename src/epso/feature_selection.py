@@ -119,12 +119,15 @@ def wrapper_objective(d: Dataset, cfg: WrapperConfig, seed: int = 0) -> Objectiv
     """Minimization objective 1 - accuracy over positions in [-1, 1]^F.
 
     Fold assignments are frozen here, once, so the objective is a pure
-    function of the position for the whole run.
+    function of the position for the whole run. A position of any shape
+    other than (F,) is a ContractError.
     """
     fold_id = _fold_ids(d, cfg, seed)
 
     def objective(position) -> float:
         mask = binarize(position, cfg.threshold)
+        if mask.shape != (d.n_features,):
+            raise ContractError(f"position must have shape ({d.n_features},), got {mask.shape}")
         return 1.0 - _masked_accuracy(d, mask, fold_id)
 
     return objective

@@ -1,4 +1,5 @@
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from epso import ContractError, DataError, normalize_minmax, synth_dataset
+from epso import datasets
 from epso.datasets import Dataset, cfo_index, complexity_index, load_csv, save_csv, stratified_folds
 
 
@@ -134,6 +136,84 @@ def test_property_save_load_roundtrip_is_exact(d):
     for lab in d.labels.tolist():
         first_seen.setdefault(lab, len(first_seen))
     assert d2.labels.tolist() == [first_seen[lab] for lab in d.labels.tolist()]
+
+
+# Cells numpy's C reader refuses, so a file holding one goes through the row
+# parser: empty, underscored, a non-ASCII digit, quoted, and '#' (no comments).
+ROW_PARSER_CELLS = ["", "1_0", "\u0661", '"1.5"', "#3"]
+
+
+@st.composite
+def csv_files(draw):
+    """Small CSV texts with a label column, optional header, blank and
+    whitespace-only records, ragged rows and the cells either parser may
+    meet. Returns (text, label_column, fast) where fast says numpy's reader
+    must take the file."""
+    width = draw(st.integers(2, 4))
+    header = draw(st.booleans())
+    label_column = draw(st.sampled_from(["first", "last", "label"] if header else ["first", "last"]))
+    label_idx = {"first": 0, "last": width - 1}.get(label_column)
+    if label_idx is None:
+        label_idx = draw(st.integers(0, width - 1))
+    number = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.integers(-9, 9).map(str)
+    odd = draw(st.lists(st.sampled_from(["inf", "nan"] + ROW_PARSER_CELLS), max_size=2))
+    cell = st.one_of(number, number.map(" {} ".format), *([st.sampled_from(odd)] if odd else []))
+    label = st.sampled_from(["1", "1.0", " A ", ""])
+
+    records, fast = [], True
+    if header:
+        names = [f"c{i}" for i in range(width)]
+        names[label_idx] = "label"
+        records.append(",".join(names))
+    for kind in draw(st.lists(st.sampled_from(["row"] * 6 + ["blank", "spaces", "ragged"]),
+                              min_size=1, max_size=8)):
+        if kind == "blank":
+            records.append("")
+            continue
+        if kind == "spaces":
+            records.append("  ")
+            fast = False
+            continue
+        cells = [draw(cell) for _ in range(width - 1)]
+        cells.insert(label_idx, draw(label))
+        if kind == "ragged":
+            cells.pop()
+        fast = fast and kind == "row" and cells[label_idx] != "" and not set(cells) & set(ROW_PARSER_CELLS)
+        records.append(",".join(cells))
+    fast = fast and any(records[header:])  # at least one data row
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(records) + draw(st.sampled_from(["", newline]))
+    return text, label_column, fast
+
+
+def outcome(load):
+    """What a loader gives: the dataset's bytes, labels and names, or the
+    error, plus every warning text."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            d = load()
+            got = (d.features.shape, d.features.tobytes(), d.labels.tolist(), d.feature_names)
+        except Exception as exc:  # noqa: BLE001 - the error itself is compared
+            got = (type(exc).__name__, str(exc))
+    return got, [str(w.message) for w in caught]
+
+
+def load_by_rows(path, label_column):
+    head = datasets._read_head(path, label_column)
+    return datasets._dataset(path, head, *datasets._parse_rows(path, head))
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_files())
+def test_property_fast_path_matches_the_row_parser(case):
+    text, label_column, fast = case
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "d.csv"
+        p.write_bytes(text.encode("utf-8"))
+        if fast:
+            datasets._parse_numbers(p, datasets._read_head(p, label_column))  # must not raise
+        assert outcome(lambda: load_csv(p, label_column)) == outcome(lambda: load_by_rows(p, label_column))
 
 
 # ---------------------------------------------------------------------------
@@ -299,3 +379,27 @@ def test_dataset_rejects_non_finite_features_naming_the_first(value):
         Dataset(x, np.array([0, 1, 0, 1]), ("a", "b", "c"), "t")
     assert str(exc.value) == (
         f"non-finite feature value {value} in observation 2 (from 0), column 'b'")
+
+
+# ---------------------------------------------------------------------------
+# layout
+# ---------------------------------------------------------------------------
+
+def test_features_are_feature_major_from_every_source(tmp_path):
+    fast = write(tmp_path, "x,y,label\n1,2,A\n3,4,B\n5,6,A\n", "fast.csv")
+    rows = write(tmp_path, '"x",y,label\n1,2,A\n3,4,B\n5,6,A\n', "rows.csv")
+    with pytest.raises(ValueError):
+        datasets._parse_numbers(rows, datasets._read_head(rows, "last"))
+    c_order = np.arange(12.0).reshape(4, 3)
+    assert c_order.flags.c_contiguous
+    made = {
+        "load_csv fast path": load_csv(fast),
+        "load_csv row parser": load_csv(rows),
+        "normalize_minmax": normalize_minmax(make_dataset([[1.0, 4.0, 9.0], [2.0, 2.0, 8.0]])),
+        "synth_dataset": synth_dataset(20, 5, 2, seed=1),
+        "C-ordered array": Dataset(c_order, np.array([0, 1, 0, 1]), ("a", "b", "c"), "t"),
+    }
+    for source, d in made.items():
+        assert d.features.flags.f_contiguous, source
+        assert d.features.dtype == np.float64, source
+    assert load_csv(fast).features.tobytes() == load_csv(rows).features.tobytes()

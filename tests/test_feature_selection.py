@@ -184,12 +184,14 @@ def test_kernel_matches_knn_recount_with_ties(case):
 
 
 def test_kernel_matches_knn_recount_on_float_kfold():
-    d = synth_dataset(60, 200, 5, class_count=3, seed=8)
+    synth = synth_dataset(60, 200, 5, class_count=3, seed=8)
     cfg = WrapperConfig(protocol="kfold", k_folds=5)
-    rng = np.random.default_rng(1)
-    for density in (0.05, 0.3, 0.9):
-        mask = rng.random(200) < density
-        assert evaluate_mask(d, mask, cfg, seed=4) == knn_recount(d, mask, cfg, 4)
+    for order in ("C", "F"):  # the Dataset's layout must not depend on its source's
+        d = Dataset(np.asarray(synth.features, order=order), synth.labels, synth.feature_names, "t")
+        rng = np.random.default_rng(1)
+        for density in (0.05, 0.3, 0.9):
+            mask = rng.random(200) < density
+            assert evaluate_mask(d, mask, cfg, seed=4) == knn_recount(d, mask, cfg, 4)
 
 
 def test_empty_mask_scores_zero():
@@ -253,6 +255,14 @@ def test_objective_is_one_minus_accuracy():
         mask = binarize(pos, cfg.threshold)
         # same seed => same frozen folds
         assert obj(pos) == pytest.approx(1.0 - evaluate_mask(d, mask, cfg, seed=11))
+
+
+def test_objective_refuses_a_position_of_the_wrong_shape():
+    d = small_dataset(seed=7)
+    obj = wrapper_objective(d, WrapperConfig(protocol="loo"))
+    for position in (np.ones(5), np.ones((1, 6)), 0.9):
+        with pytest.raises(ContractError, match=r"position must have shape \(6,\), got"):
+            obj(position)
 
 
 def test_objective_pure_within_run():
