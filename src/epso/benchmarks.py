@@ -1,5 +1,5 @@
-"""Continuous test functions: classic bases, shift/rotate transforms, and
-hybrid/composition builders, behind a seeded name registry.
+"""Continuous test functions: classic bases, and the shifted/rotated, hybrid
+and composition functions built from them by a seeded name registry.
 
 Shift vectors and rotation matrices are generated from a seed (uniform shift
 inside the central 80% of the box, rotation from QR-orthonormalization of a
@@ -21,14 +21,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractError, UnknownFunctionError
-from .swarm import batch_objective
-
-Objective = Callable[[np.ndarray], float]
+from .swarm import Objective, batch_objective
 
 SCHWEFEL_OPTIMUM = 420.9687
 DEFAULT_LOW, DEFAULT_HIGH = -100.0, 100.0
@@ -127,39 +125,8 @@ def _schwefel_in_domain(z) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Transforms and composers
+# Hybrid and composition
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TransformSpec:
-    """A shift plus an orthonormal rotation applied before a base function."""
-
-    shift: np.ndarray
-    rotation: np.ndarray
-
-    def __post_init__(self):
-        shift = np.asarray(self.shift, dtype=float)
-        rot = np.asarray(self.rotation, dtype=float)
-        d = shift.size
-        if rot.shape != (d, d):
-            raise ContractError("rotation must be square and match the shift dimension")
-        if not np.allclose(rot.T @ rot, np.eye(d), atol=1e-9):
-            raise ContractError("rotation must be orthonormal to within 1e-9")
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "rotation", rot)
-
-
-def apply_transform(x, t: TransformSpec) -> np.ndarray:
-    """z = rotation @ (x - shift), for one point or each point of a stack.
-
-    The stacked form is one gemv per point, the same call as the 1-D form, so
-    each point's z keeps its bits; (x - shift) @ rotation.T would not.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != t.shift.shape:
-        raise ContractError("input dimension does not match the transform")
-    return np.matmul(t.rotation, (x - t.shift)[..., None])[..., 0]
-
 
 def _block_sizes(parts, dim: int) -> list[int]:
     """Contiguous block sizes of a hybrid's (base, fraction) parts at dim.
@@ -185,25 +152,16 @@ def _block_sizes(parts, dim: int) -> list[int]:
     return sizes
 
 
-def hybrid(parts: Sequence[tuple[Objective, float]]) -> Objective:
-    """Split the input into contiguous blocks by fraction and sum the parts.
-
-    Fractions must sum to 1; the blocks follow _block_sizes. Every block must
-    end up with at least one dimension.
-    """
-    if not parts:
-        raise ContractError("hybrid needs at least one part")
-    if abs(sum(fraction for _, fraction in parts) - 1.0) > 1e-9:
-        raise ContractError("hybrid fractions must sum to 1")
-
+def _hybrid(parts, sizes: list[int]) -> Objective:
+    """Split the input into contiguous blocks of the given sizes, one per
+    (base, fraction) part, and sum the bases' values on their blocks."""
     def objective(z) -> float:
-        z = np.asarray(z, dtype=float)
         total = 0.0
         start = 0
-        for (fn, _), size in zip(parts, _block_sizes(parts, z.shape[-1])):
+        for (fn, _), size in zip(parts, sizes):
             total = total + fn(z[..., start:start + size])
             start += size
-        return _value(total)
+        return total
 
     return objective
 
@@ -244,14 +202,9 @@ def composition_weights(x, components: Sequence[CompositionComponent]) -> np.nda
     return w
 
 
-def composition(components: Sequence[CompositionComponent]) -> Objective:
+def _composition(comps: list[CompositionComponent]) -> Objective:
     """Weighted sum of component landscapes plus their local biases."""
-    if not components:
-        raise ContractError("composition needs at least one component")
-    comps = list(components)
-
     def objective(x) -> float:
-        x = np.asarray(x, dtype=float)
         w = composition_weights(x, comps)
         active = w != 0.0  # a zero weight skips its component
         used = active.reshape(-1, len(comps)).any(axis=0).tolist()
@@ -296,14 +249,16 @@ def _default_bounds(dim: int) -> np.ndarray:
     return np.tile([DEFAULT_LOW, DEFAULT_HIGH], (dim, 1))
 
 
-def _shifted_rotated(base: Objective, dim: int, rng: np.random.Generator):
-    bounds = _default_bounds(dim)
-    t = TransformSpec(_random_shift(rng, bounds), _random_rotation(rng, dim))
+def _shifted_rotated(base: Objective, shift: np.ndarray, rotation: np.ndarray) -> Objective:
+    """base(rotation @ (x - shift)), for one point or each point of a stack.
 
-    def fn(x) -> float:
-        return base(apply_transform(x, t))
+    The stacked form is one gemv per point, the same call as the 1-D form, so
+    each point's z keeps its bits; (x - shift) @ rotation.T would not.
+    """
+    def objective(x) -> float:
+        return base(np.matmul(rotation, (x - shift)[..., None])[..., 0])
 
-    return bounds, t.shift, fn
+    return objective
 
 
 # name -> (kind, parts), in registry order: entry i has bias 100 * (i + 1) and
@@ -341,7 +296,9 @@ def registry(name: str, dimension: int, seed: int) -> tuple[ObjectiveSpec, Objec
     is marked with batch_objective, so optimize evaluates the whole swarm in
     one call per iteration. A dimension too small for one of its base
     functions (an empty hybrid block, or fewer coordinates than a base's
-    least_dimension) is a ContractError here, before anything is drawn.
+    least_dimension) is a ContractError here, before anything is drawn; a
+    point or stack whose last axis is not `dimension` wide is a ContractError
+    at the objective.
     """
     if name not in _REGISTRY:
         raise UnknownFunctionError(f"unknown function {name!r}; available: {', '.join(_REGISTRY)}")
@@ -356,22 +313,26 @@ def registry(name: str, dimension: int, seed: int) -> tuple[ObjectiveSpec, Objec
     index = list(_REGISTRY).index(name)
     bias = 100.0 * (index + 1)
     rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(index,)))
+    bounds = _default_bounds(dimension)
 
     if kind == "composition":
-        bounds = _default_bounds(dimension)
         comps = []
         for base, sigma, cbias in parts:
             s = _random_shift(rng, bounds)
             # x is the composition's array, one point or a stack
             comps.append(CompositionComponent(lambda x, b=base, sh=s: b(x - sh), sigma, cbias, s))
-        raw, optimum = composition(comps), comps[0].shift
+        raw, optimum = _composition(comps), comps[0].shift
     else:
-        inner = hybrid(parts) if kind == "hybrid" else parts[0][0]
-        bounds, optimum, raw = _shifted_rotated(inner, dimension, rng)
-    spec = ObjectiveSpec(name, dimension, bounds, bias, np.asarray(optimum, dtype=float))
+        inner = _hybrid(parts, sizes) if kind == "hybrid" else parts[0][0]
+        optimum = _random_shift(rng, bounds)
+        raw = _shifted_rotated(inner, optimum, _random_rotation(rng, dimension))
+    spec = ObjectiveSpec(name, dimension, bounds, bias, optimum)
 
     @batch_objective
     def objective(x) -> float:
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (dimension,):
+            raise ContractError(f"{name} takes points of width {dimension}; got shape {x.shape}")
         return raw(x) + bias
 
     return spec, objective

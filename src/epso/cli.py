@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from .benchmarks import available_functions
-from .errors import ConfigError, ContractError, DataError, EvaluationError
+from .errors import ConfigError, ContractError, DataError, EvaluationError, UnknownFunctionError
 from .harness import build_config, emit_report, emit_traces, parse_config, run_experiment
 
 
@@ -83,7 +83,7 @@ def main(argv=None) -> int:
         for p in paths:
             print(f"wrote {p}")
         return 0
-    except (ConfigError, DataError, ContractError, KeyError) as exc:
+    except (ConfigError, DataError, ContractError, UnknownFunctionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EvaluationError as exc:

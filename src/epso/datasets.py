@@ -72,7 +72,9 @@ def _is_number(cell: str) -> bool:
 
 def _csv_rows(path: Path):
     """The file's non-blank rows, read one at a time, each with its 1-based
-    record number in the file (blank records count)."""
+    record number in the file (blank records count). A record the csv module
+    refuses, such as a cell over its field size limit, is a DataError."""
+    line = 0
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             for line, row in enumerate(csv.reader(fh), start=1):
@@ -80,6 +82,8 @@ def _csv_rows(path: Path):
                     yield line, row
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except csv.Error as exc:
+        raise DataError(f"row {line + 1}: {exc}") from None
 
 
 class _Head(NamedTuple):
@@ -88,7 +92,6 @@ class _Head(NamedTuple):
     width: int
     label_idx: int
     names: tuple[str, ...]
-    has_header: bool
     skip: int  # records before the first data record, blank ones included
 
 
@@ -117,8 +120,8 @@ def _read_head(path: Path, label_column: str) -> _Head:
     )
     if has_header:
         names = tuple(c for i, c in enumerate(first) if i != label_idx)
-        return _Head(width, label_idx, names, True, line)
-    return _Head(width, label_idx, tuple(f"f{i}" for i in range(width - 1)), False, line - 1)
+        return _Head(width, label_idx, names, line)
+    return _Head(width, label_idx, tuple(f"f{i}" for i in range(width - 1)), line - 1)
 
 
 def _parse_numbers(path: Path, head: _Head) -> tuple[np.ndarray, list[str]]:
@@ -174,9 +177,8 @@ def _parse_rows(path: Path, head: _Head) -> tuple[np.ndarray, list[str]]:
             features.append(np.array(list(map(float, cells))))
         except ValueError:
             j = next(j for j, c in enumerate(cells) if not _is_number(c))
-            col = head.names[j] if head.has_header else f"f{j if j < head.label_idx else j + 1}"
             raise DataError(
-                f"row {line}, column {col!r}: cannot parse {cells[j]!r} as a number"
+                f"row {line}, column {head.names[j]!r}: cannot parse {cells[j]!r} as a number"
             ) from None
 
     if dropped:

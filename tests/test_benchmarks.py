@@ -9,16 +9,16 @@ from epso import ContractError, UnknownFunctionError, registry
 from epso.benchmarks import (
     _REGISTRY,
     CompositionComponent,
-    TransformSpec,
     _block_sizes,
+    _composition,
+    _hybrid,
+    _random_rotation,
+    _shifted_rotated,
     ackley,
-    apply_transform,
     available_functions,
     cigar,
-    composition,
     composition_weights,
     elliptic,
-    hybrid,
     rastrigin,
     schwefel,
 )
@@ -88,25 +88,15 @@ def test_base_functions_declare_their_least_dimension(fn, least):
 # transforms
 # ---------------------------------------------------------------------------
 
+def moved(shift, rotation):
+    """The point _shifted_rotated hands its base function."""
+    return _shifted_rotated(lambda z: z, shift, rotation)
+
+
 def test_transform_identity_and_shift():
-    t = TransformSpec(np.zeros(3), np.eye(3))
     x = np.array([1.0, -2.0, 0.5])
-    assert np.array_equal(apply_transform(x, t), x)
-    t2 = TransformSpec(x.copy(), np.eye(3))
-    assert np.array_equal(apply_transform(x, t2), np.zeros(3))
-
-
-def test_transform_rejects_non_orthonormal():
-    with pytest.raises(ContractError):
-        TransformSpec(np.zeros(2), np.zeros((2, 2)))
-    with pytest.raises(ContractError):
-        TransformSpec(np.zeros(2), 2.0 * np.eye(2))
-
-
-def test_transform_dimension_mismatch():
-    t = TransformSpec(np.zeros(3), np.eye(3))
-    with pytest.raises(ContractError):
-        apply_transform(np.zeros(4), t)
+    assert np.array_equal(moved(np.zeros(3), np.eye(3))(x), x)
+    assert np.array_equal(moved(x.copy(), np.eye(3))(x), np.zeros(3))
 
 
 def test_rotation_preserves_norm():
@@ -114,11 +104,20 @@ def test_rotation_preserves_norm():
     for _ in range(20):
         a = rng.standard_normal((6, 6))
         q, r = np.linalg.qr(a)
-        t = TransformSpec(rng.uniform(-3, 3, 6), q)
+        shift = rng.uniform(-3, 3, 6)
         x = rng.uniform(-10, 10, 6)
-        assert np.linalg.norm(apply_transform(x, t)) == pytest.approx(
-            np.linalg.norm(x - t.shift), abs=1e-9
+        assert np.linalg.norm(moved(shift, q)(x)) == pytest.approx(
+            np.linalg.norm(x - shift), abs=1e-9
         )
+
+
+def test_random_rotation_is_orthonormal():
+    for seed in (0, 1, 2):
+        rng = np.random.default_rng(seed)
+        for dim in range(1, 51):
+            q = _random_rotation(rng, dim)
+            assert q.shape == (dim, dim)
+            assert np.abs(q.T @ q - np.eye(dim)).max() <= 1e-9, (seed, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +125,13 @@ def test_rotation_preserves_norm():
 # ---------------------------------------------------------------------------
 
 def test_hybrid_single_part_is_base():
-    h = hybrid([(rastrigin, 1.0)])
+    h = _hybrid([(rastrigin, 1.0)], [3])
     z = np.array([0.3, -1.2, 0.7])
     assert h(z) == pytest.approx(rastrigin(z))
 
 
 def test_hybrid_separable_additivity():
-    h = hybrid([(rastrigin, 0.5), (rastrigin, 0.5)])
+    h = _hybrid([(rastrigin, 0.5), (rastrigin, 0.5)], [4, 4])
     rng = np.random.default_rng(3)
     for _ in range(20):
         z = rng.uniform(-5, 5, 8)
@@ -140,18 +139,16 @@ def test_hybrid_separable_additivity():
 
 
 def test_hybrid_zero_at_origin_and_validation():
-    h = hybrid([(elliptic, 0.5), (cigar, 0.5)])
+    parts = [(elliptic, 0.5), (cigar, 0.5)]
+    assert _block_sizes(parts, 8) == [4, 4]
+    h = _hybrid(parts, [4, 4])
     assert h(np.zeros(8)) == 0.0
-    with pytest.raises(ContractError):
-        hybrid([])
-    with pytest.raises(ContractError):
-        hybrid([(rastrigin, 0.4), (rastrigin, 0.4)])
+    assert h(np.eye(8)[4]) == pytest.approx(1.0)  # the first coordinate of cigar's block
 
 
 def test_hybrid_rejects_empty_blocks():
-    h = hybrid([(rastrigin, 0.01), (rastrigin, 0.99)])
-    with pytest.raises(ContractError):
-        h(np.zeros(4))  # first block would round to zero dimensions
+    with pytest.raises(ContractError, match="hybrid blocks must be non-empty"):
+        _block_sizes([(rastrigin, 0.01), (rastrigin, 0.99)], 4)  # first block rounds to zero
 
 
 def two_component_symmetric():
@@ -162,14 +159,14 @@ def two_component_symmetric():
 
 
 def test_composition_single_component():
-    c = composition([CompositionComponent(lambda x: float(np.sum(x**2)), 3.0, 7.0, np.zeros(3))])
+    c = _composition([CompositionComponent(lambda x: float(np.sum(x**2)), 3.0, 7.0, np.zeros(3))])
     z = np.array([1.0, 2.0, 2.0])
     assert c(z) == pytest.approx(9.0 + 7.0)
 
 
 def test_composition_collapses_at_a_shift():
     comps = two_component_symmetric()
-    c = composition(comps)
+    c = _composition(comps)
     assert c(np.full(4, 2.0)) == pytest.approx(0.0)
     w = composition_weights(np.full(4, 2.0), comps)
     assert np.array_equal(w, [1.0, 0.0])
@@ -188,11 +185,6 @@ def test_composition_weights_sum_to_one():
         w = composition_weights(rng.uniform(-50, 50, 4), comps)
         assert np.all(w >= 0)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_composition_requires_components():
-    with pytest.raises(ContractError):
-        composition([])
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +462,15 @@ def test_registry_rejects_a_cigar_block_of_one_dimension():
             registry(name, dim, seed=0)
 
 
+@pytest.mark.parametrize("name", available_functions())
+def test_registry_objective_refuses_points_of_the_wrong_width(name):
+    dim = 10
+    _, fn = registry(name, dim, seed=0)
+    for x in (np.zeros(dim - 1), np.zeros((3, dim + 1)), 0.0):
+        with pytest.raises(ContractError, match=f"^{name} takes points of width {dim}; got shape "):
+            fn(x)
+
+
 def test_hybrid_3_splits_dimensions_7_and_8_by_largest_remainder():
     # the rounded splits, [1, 1, 1, 1, 3] and [2, 2, 2, 2, 0], give cigar one
     # coordinate and leave the last block empty
@@ -480,7 +481,7 @@ def test_hybrid_3_splits_dimensions_7_and_8_by_largest_remainder():
         z = rng.uniform(-5.0, 5.0, dim)
         ends = np.cumsum([0] + sizes)
         want = sum(base(z[a:b]) for (base, _), a, b in zip(parts, ends[:-1], ends[1:]))
-        assert hybrid(parts)(z) == want
+        assert _hybrid(parts, sizes)(z) == want
         spec, fn = registry("hybrid_3", dim, seed=0)
         assert np.isfinite(fn(rng.uniform(-100.0, 100.0, (5, dim)))).all()
         assert fn(spec.optimum) == pytest.approx(spec.bias, abs=1e-9)
@@ -523,7 +524,7 @@ def test_stacked_rows_equal_one_point_calls(name, dim, population, seed):
 def test_stacks_of_any_leading_shape_reduce_the_last_axis():
     x = np.random.default_rng(4).uniform(-3.0, 3.0, (2, 3, 6))
     for fn in (elliptic, cigar, ackley, rastrigin, schwefel,
-               hybrid([(rastrigin, 0.5), (cigar, 0.5)])):
+               _hybrid([(rastrigin, 0.5), (cigar, 0.5)], [3, 3])):
         assert fn(x).shape == (2, 3)
         assert fn(x).tolist() == [[fn(p) for p in row] for row in x]
     comps = two_component_symmetric()
@@ -532,10 +533,9 @@ def test_stacks_of_any_leading_shape_reduce_the_last_axis():
     w = composition_weights(x4, comps)
     assert w.shape == (2, 3, 2) and w[0, 1].tolist() == [0.0, 1.0]
     assert w.tolist() == [[composition_weights(p, comps).tolist() for p in row] for row in x4]
-    c = composition(comps)
+    c = _composition(comps)
     assert c(x4).tolist() == [[c(p) for p in row] for row in x4]
-    t = TransformSpec(np.ones(6), np.eye(6)[::-1])
-    assert np.array_equal(apply_transform(x, t), (x - 1.0)[..., ::-1])
+    assert np.array_equal(moved(np.ones(6), np.eye(6)[::-1])(x), (x - 1.0)[..., ::-1])
 
 
 def test_composition_far_rows_fall_back_to_the_nearest_center():
@@ -547,7 +547,7 @@ def test_composition_far_rows_fall_back_to_the_nearest_center():
     # a component with zero weight is skipped, so its inf never meets the 0
     endless = CompositionComponent(lambda p: np.full(np.shape(p)[:-1], np.inf)[()], 5.0, 0.0,
                                    comps[1].shift)
-    c = composition([comps[0], endless])
+    c = _composition([comps[0], endless])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values = c(np.stack([x[0], endless.shift]))

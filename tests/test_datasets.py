@@ -53,7 +53,9 @@ def test_unparseable_cell_names_row_and_column(tmp_path):
     [
         ("x,y,label\n1,2,A\n1,oops,B\n", "last",
          "row 3, column 'y': cannot parse 'oops' as a number"),
-        ("A,1,2\nB,3,zz\n", "first", "row 2, column 'f2': cannot parse 'zz' as a number"),
+        ("A,1,2\nB,3,zz\n", "first", "row 2, column 'f1': cannot parse 'zz' as a number"),
+        ("A,1,2\nB,3,inf\n", "first",
+         "non-finite feature value inf in observation 1 (from 0), column 'f1'"),
         ("a,label,b\n1,A,2\n3,B, x \n", "label",
          "row 3, column 'b': cannot parse 'x' as a number"),
         ("1,2,A\n3,4,B\nq,4,B\n", "last", "row 3, column 'f0': cannot parse 'q' as a number"),
@@ -65,6 +67,17 @@ def test_unparseable_cell_message_is_exact(tmp_path, text, label_column, message
     with pytest.raises(DataError) as exc:
         load_csv(write(tmp_path, text), label_column)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_overlong_cell_is_a_data_error_naming_its_record(tmp_path, quoted):
+    cell = "z" * 140_000
+    cell = f'"{cell}"' if quoted else cell
+    with pytest.raises(DataError) as exc:
+        load_csv(write(tmp_path, f"x,y,label\n1,2,A\n\n3,{cell},B\n5,6,B\n"))
+    assert str(exc.value) == "row 4: field larger than field limit (131072)"
+    with pytest.raises(DataError, match="^row 1: field larger"):
+        load_csv(write(tmp_path, f"x,{cell},label\n1,2,A\n3,4,B\n"))
 
 
 @pytest.mark.parametrize(

@@ -392,6 +392,23 @@ def test_cli_unknown_function_message_is_unquoted(capsys):
     assert err == f"error: unknown function 'nope'; available: {names}\n"
 
 
+def test_cli_lets_an_internal_key_error_propagate(tmp_path, monkeypatch):
+    def broken(cfg):
+        raise KeyError("x")
+
+    monkeypatch.setattr(cli, "run_experiment", broken)
+    with pytest.raises(KeyError, match="'x'"):
+        main(["bench", "--function", "hybrid_1", "--runs", "1", "--out", str(tmp_path)])
+
+
+def test_cli_select_on_an_overlong_cell_exits_2(tmp_path, capsys):
+    data = tmp_path / "long.csv"
+    data.write_text('x,y,label\n1,2,A\n3,"' + "z" * 140_000 + '",B\n5,6,B\n', encoding="utf-8")
+    assert main(["select", "--data", str(data), "--runs", "1", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("error: row 3: field larger than field limit (131072)\n")
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # config keys, end to end
 # ---------------------------------------------------------------------------
