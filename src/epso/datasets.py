@@ -21,7 +21,8 @@ class Dataset:
     """An immutable, finite feature matrix with dense integer class labels.
 
     features is stored feature-major (Fortran order, each feature's column
-    contiguous), so the column gather of a feature mask copies whole columns.
+    contiguous), so features.T is a C-contiguous (n_features, n_samples) view
+    and the gather of a feature mask copies whole rows of it.
     """
 
     features: np.ndarray      # (n_samples, n_features) float, Fortran order
@@ -73,7 +74,9 @@ def _is_number(cell: str) -> bool:
 def _csv_rows(path: Path):
     """The file's non-blank rows, read one at a time, each with its 1-based
     record number in the file (blank records count). A record the csv module
-    refuses, such as a cell over its field size limit, is a DataError."""
+    refuses, such as a cell over its field size limit, is a DataError, and so
+    is a byte that is not UTF-8 (the text reader decodes ahead of the csv
+    reader, so that error names no record)."""
     line = 0
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -84,6 +87,9 @@ def _csv_rows(path: Path):
         raise DataError(f"cannot read {path}: {exc}") from exc
     except csv.Error as exc:
         raise DataError(f"row {line + 1}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: cannot decode byte "
+                        f"0x{exc.object[exc.start]:02x}") from None
 
 
 class _Head(NamedTuple):

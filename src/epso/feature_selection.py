@@ -76,16 +76,24 @@ def knn_classify(train_features, train_labels, query, k: int = 1) -> int:
 
 
 def _knn_accuracy(x: np.ndarray, y: np.ndarray, fold_id: np.ndarray) -> float:
-    """Mean per-fold 1NN accuracy, every fold scored from one n x n distance matrix.
+    """Mean per-fold 1NN accuracy of the (selected, n) feature-major block x,
+    every fold scored from one n x n distance matrix.
 
-    Same-fold pairs (the diagonal among them) are set to +inf, so each row
-    only finds neighbors in the other folds. A distance tie goes to the
-    lower row index, as in knn_classify with k=1.
+    An evaluation holds x and one n x n Gram x.T @ x, which is reused in
+    place for the distances; the squared row norms are the Gram's diagonal,
+    so every self-distance is exactly 0. Same-fold pairs (the diagonal among
+    them) are set to +inf, so each row only finds neighbors in the other
+    folds. Among distances that compare equal, the lower row index wins, as
+    in knn_classify with k=1. That rule is exact only where the computed
+    distances tie exactly: among two or more exact duplicates of a row,
+    rounding can make a duplicate other than the lowest-indexed one nearest.
     """
-    sq = np.sum(x * x, axis=1)
-    dist = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    dist = x.T @ x
+    sq = dist.diagonal().copy()
+    dist *= 2.0
+    np.subtract(np.add.outer(sq, sq), dist, out=dist)
     np.maximum(dist, 0.0, out=dist)
-    dist[fold_id[:, None] == fold_id[None, :]] = np.inf
+    np.putmask(dist, fold_id[:, None] == fold_id[None, :], np.inf)
     pred = y[np.argmin(dist, axis=1)]
     hits = np.bincount(fold_id, weights=pred == y)
     return float(np.mean(hits / np.bincount(fold_id)))
@@ -104,7 +112,8 @@ def _fold_ids(d: Dataset, cfg: WrapperConfig, seed: int) -> np.ndarray:
 def _masked_accuracy(d: Dataset, mask: np.ndarray, fold_id: np.ndarray) -> float:
     if not mask.any():
         return 0.0  # empty masks score worst instead of erroring
-    return _knn_accuracy(d.features[:, mask], d.labels, fold_id)
+    # features.T is a C-contiguous (F, n) view, so the gather copies whole rows
+    return _knn_accuracy(np.compress(mask, d.features.T, axis=0), d.labels, fold_id)
 
 
 def evaluate_mask(d: Dataset, mask, cfg: WrapperConfig, seed: int = 0) -> float:

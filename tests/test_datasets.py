@@ -80,6 +80,21 @@ def test_overlong_cell_is_a_data_error_naming_its_record(tmp_path, quoted):
         load_csv(write(tmp_path, f"x,{cell},label\n1,2,A\n3,4,B\n"))
 
 
+def test_non_utf8_file_is_a_data_error(tmp_path):
+    early = tmp_path / "early.csv"
+    early.write_bytes(b"x,y,label\n1,2,A\n3,4,B\n5,6,caf\xe9\n7,8,B\n")
+    with pytest.raises(DataError) as exc:
+        load_csv(early)
+    assert str(exc.value) == f"{early} is not UTF-8 text: cannot decode byte 0xe9"
+    # past the text reader's first chunk: the head reads, then both parsers meet the byte
+    late = tmp_path / "late.csv"
+    late.write_bytes(b"x,y,label\n" + b"1,2,A\n3,4,B\n" * 20_000 + b"5,6,caf\xe9\n")
+    assert datasets._read_head(late, "last").names == ("x", "y")
+    with pytest.raises(DataError) as exc:
+        load_csv(late)
+    assert str(exc.value) == f"{late} is not UTF-8 text: cannot decode byte 0xe9"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -405,14 +420,20 @@ def test_features_are_feature_major_from_every_source(tmp_path):
         datasets._parse_numbers(rows, datasets._read_head(rows, "last"))
     c_order = np.arange(12.0).reshape(4, 3)
     assert c_order.flags.c_contiguous
+    strided = np.arange(60.0).reshape(6, 10)[::2, ::3]
     made = {
         "load_csv fast path": load_csv(fast),
         "load_csv row parser": load_csv(rows),
         "normalize_minmax": normalize_minmax(make_dataset([[1.0, 4.0, 9.0], [2.0, 2.0, 8.0]])),
         "synth_dataset": synth_dataset(20, 5, 2, seed=1),
         "C-ordered array": Dataset(c_order, np.array([0, 1, 0, 1]), ("a", "b", "c"), "t"),
+        "F-ordered array": Dataset(np.asfortranarray(c_order), np.array([0, 1, 0, 1]), ("a", "b", "c"), "t"),
+        "strided array": Dataset(strided, np.array([0, 1, 0]), ("a", "b", "c", "d"), "t"),
     }
     for source, d in made.items():
         assert d.features.flags.f_contiguous, source
+        # the wrapper kernel gathers a mask's features as whole rows of features.T
+        assert d.features.T.flags.c_contiguous, source
         assert d.features.dtype == np.float64, source
+    assert np.array_equal(made["strided array"].features, strided)
     assert load_csv(fast).features.tobytes() == load_csv(rows).features.tobytes()

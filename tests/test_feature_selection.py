@@ -192,6 +192,13 @@ def test_kernel_matches_knn_recount_on_float_kfold():
         for density in (0.05, 0.3, 0.9):
             mask = rng.random(200) < density
             assert evaluate_mask(d, mask, cfg, seed=4) == knn_recount(d, mask, cfg, 4)
+    # many more features than samples, as in gene selection
+    wide = synth_dataset(40, 600, 5, class_count=3, seed=9)
+    rng = np.random.default_rng(2)
+    for seed in (0, 1, 2):
+        for density in (0.002, 0.02, 0.25, 0.5):
+            mask = rng.random(600) < density
+            assert evaluate_mask(wide, mask, cfg, seed=seed) == knn_recount(wide, mask, cfg, seed)
 
 
 def test_empty_mask_scores_zero():

@@ -409,6 +409,14 @@ def test_cli_select_on_an_overlong_cell_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_select_on_a_latin1_csv_exits_2(tmp_path, capsys):
+    data = tmp_path / "latin1.csv"
+    data.write_bytes(b"x,y,label\n1,2,A\n3,4,B\n5,6,caf\xe9\n7,8,B\n")
+    assert main(["select", "--data", str(data), "--runs", "1", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {data} is not UTF-8 text: cannot decode byte 0xe9\n"
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # config keys, end to end
 # ---------------------------------------------------------------------------
