@@ -18,7 +18,7 @@ from .errors import ContractError, DataError
 
 @dataclass(frozen=True)
 class Dataset:
-    """An immutable, finite feature matrix with dense integer class labels.
+    """An immutable, finite feature matrix (one column or more) with dense integer class labels.
 
     features is stored feature-major (Fortran order, each feature's column
     contiguous), so features.T is a C-contiguous (n_features, n_samples) view
@@ -32,11 +32,17 @@ class Dataset:
 
     def __post_init__(self):
         x = np.asarray(self.features, dtype=float, order="F")
-        y = np.asarray(self.labels, dtype=int)
+        raw = np.asarray(self.labels)
+        y = raw.astype(int)
         if x.ndim != 2:
             raise DataError("features must be a 2-D matrix")
+        if x.shape[1] == 0:
+            raise DataError("features must have at least one column")
         if y.shape != (x.shape[0],):
             raise DataError("labels must have one entry per observation")
+        bad = (y < 0) | (y != raw)
+        if bad.any():
+            raise DataError(f"labels must be non-negative integers, got {raw[bad][0]}")
         if len(self.feature_names) != x.shape[1]:
             raise DataError("feature_names must have one entry per feature")
         if not np.isfinite(x).all():

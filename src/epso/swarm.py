@@ -1,4 +1,4 @@
-"""Swarm core: standard PSO updates, two-group scheduling, and the seeded run loop.
+"""Swarm core: the two-group update step, its schedules, and the seeded run loop.
 
 The optimizer maintains a population of particles over a box-bounded search
 space, held as arrays whose row i is particle i. EPSO re-partitions the
@@ -8,7 +8,9 @@ whose particles mutate a scheduled number of coordinates ("genes") via a
 randomized recombination of gbest and pbest. PSO is the flat schedule, both
 group fractions at 1.0, where group 1 is the whole swarm; optimize applies it.
 
-Each step is one array update over all rows. A run draws from one
+step is the whole update rule, one array update over all rows: both
+groups' velocities, the gene mutation and the move. It checks the state's
+shapes once, on entry, against the config. A run draws from one
 np.random.Generator seeded with config.seed, in blocks whose shapes do not
 depend on the group sizes: init_swarm draws one P x D uniform block, and
 every step draws r1 | r2, the gene keys, then alpha | beta (see step). Row
@@ -181,34 +183,6 @@ def inertia_weight(iteration: int, config: EpsoConfig) -> float:
     return config.inertia_start + frac * (config.inertia_end - config.inertia_start)
 
 
-def update_velocity_standard(
-    x: np.ndarray, v: np.ndarray, pbest: np.ndarray, gbest: np.ndarray, w: float, c1: float,
-    c2: float, r1: np.ndarray, r2: np.ndarray, limit: np.ndarray,
-) -> np.ndarray:
-    """v' = w*v + c1*r1*(pbest - x) + c2*r2*(gbest - x), clamped to [-limit, limit].
-
-    x, v, pbest, r1 and r2 share one shape: one particle (D,) or a block of
-    rows (k, D). r1 and r2 are the uniform draws on [0, 1].
-    """
-    shape = x.shape
-    if not (v.shape == pbest.shape == r1.shape == r2.shape == shape and gbest.shape == shape[-1:]):
-        raise ContractError("position, velocity, pbest, gbest and draws must share one dimension")
-    new = v * w + (c1 * r1) * (pbest - x) + (c2 * r2) * (gbest - x)
-    np.maximum(new, -limit, out=new)
-    return np.minimum(new, limit, out=new)
-
-
-def apply_velocity(position: np.ndarray, velocity: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """x' = x + v, clamped back into the search box; rows or a single particle."""
-    x = np.asarray(position, dtype=float)
-    v = np.asarray(velocity, dtype=float)
-    if x.shape != v.shape:
-        raise ContractError("position and velocity must share one dimension")
-    new = x + v
-    np.maximum(new, bounds[:, 0], out=new)
-    return np.minimum(new, bounds[:, 1], out=new)
-
-
 def group1_size(iteration: int, config: EpsoConfig) -> int:
     """Scheduled size of the exploitative group, shrinking quadratically in t."""
     T = config.max_iterations
@@ -223,41 +197,6 @@ def mutation_gene_count(iteration: int, config: EpsoConfig) -> int:
     frac = (iteration / T) ** 2 if T > 0 else 0.0
     raw = config.m_min + frac * (config.m_max - config.m_min)
     return min(max(_round_half_up(raw), config.m_min), config.m_max)
-
-
-def select_mutation_genes(keys: np.ndarray, m: int) -> np.ndarray:
-    """Each row's m genes: the sorted positions of its m smallest keys.
-
-    keys is one row (D,) or a block of rows (k, D). With uniform keys, each
-    row's genes are a uniform m-subset of its D coordinates.
-    """
-    d = keys.shape[-1]
-    if m > d:
-        raise ContractError(f"cannot select {m} genes from {d} dimensions")
-    return np.sort(np.argpartition(keys, m - 1, axis=-1)[..., :m], axis=-1)
-
-
-def update_velocity_extended(
-    v: np.ndarray, pbest: np.ndarray, gbest: np.ndarray, genes, alpha: np.ndarray,
-    beta: np.ndarray, limit: np.ndarray,
-) -> np.ndarray:
-    """Mutate the selected genes: v'_j = alpha*gbest_j + (1 - beta*v_j)*pbest_j.
-
-    v and pbest are one particle (D,) or a block of rows (k, D); genes, alpha
-    and beta hold each row's gene indices and their draws, uniform on
-    [-1, 1], shaped (m,) or (k, m). Untouched genes keep their velocity. The
-    new velocity is then clamped like the standard update.
-    """
-    genes = np.asarray(genes, dtype=np.intp)
-    if v.shape != pbest.shape or gbest.shape != v.shape[-1:]:
-        raise ContractError("velocity, pbest and gbest must share one dimension")
-    if genes.size and (genes.min() < 0 or genes.max() >= v.shape[-1]):
-        raise ContractError("gene index out of range")
-    at = (genes,) if v.ndim == 1 else (np.arange(len(v))[:, None], genes)
-    new = v.copy()
-    new[at] = alpha * gbest[genes] + (1.0 - beta * v[at]) * pbest[at]
-    np.maximum(new, -limit, out=new)
-    return np.minimum(new, limit, out=new)
 
 
 def assign_groups(pbest_fitness: np.ndarray, g1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -328,36 +267,53 @@ def step(swarm: SwarmState, objective: Objective, config: EpsoConfig,
          rng: np.random.Generator) -> SwarmState:
     """Advance the swarm by one iteration and return it; the state's arrays are new ones.
 
-    Group sizes are recomputed from the pre-step iteration counter. Whatever
-    the group sizes, the step draws, in this order: r1 and r2 as one (2, P, D)
-    block, one P x D block of uniform gene keys, and alpha and beta as one
-    (2, P, m) block on [-1, 1], where m is the scheduled gene count. Group-1
-    rows take the standard update from their rows of r1 and r2. A group-2
-    row takes the extended update instead: the m genes holding its smallest
-    keys are mutated with its rows of alpha and beta, and its other
-    coordinates keep their velocity. All rows move, are re-evaluated, and
-    then update their bests together.
+    The state is checked once, on entry, against the config: positions,
+    velocities and pbest_positions must be (P, D), pbest_fitness (P,) and
+    gbest_position (D,); anything else is a ContractError. Group sizes are
+    recomputed from the pre-step iteration counter. Whatever the group
+    sizes, the step draws, in this order: r1 and r2 as one (2, P, D) block,
+    one P x D block of uniform gene keys, and alpha and beta as one (2, P, m)
+    block on [-1, 1], where m is the scheduled gene count.
+
+    Group-1 rows take the standard update from their rows of r1 and r2:
+    v' = w*v + c1*r1*(pbest - x) + c2*r2*(gbest - x). A group-2 row instead
+    mutates the m genes j holding its smallest keys (a uniform m-subset),
+    v'_j = alpha*gbest_j + (1 - beta*v_j)*pbest_j, with its rows of alpha and
+    beta, and its other coordinates keep their velocity. Velocities are
+    clamped to [-velocity_limit, velocity_limit], x' = x + v' is clamped into
+    the bounds, and all rows are re-evaluated and update their bests together.
     """
+    n, d = config.population_size, config.dimension
+    shapes = (swarm.positions.shape, swarm.velocities.shape, swarm.pbest_positions.shape,
+              swarm.pbest_fitness.shape, swarm.gbest_position.shape)
+    want = ((n, d),) * 3 + ((n,), (d,))
+    if shapes != want:
+        raise ContractError(f"positions, velocities, pbest_positions, pbest_fitness and "
+                            f"gbest_position must have shapes {want}, got {shapes}")
     if swarm.iteration >= config.max_iterations:
         raise ContractError("swarm already reached max_iterations")
-    t = swarm.iteration
-    n = len(swarm.positions)
-    limit = config.velocity_limit
-    r1, r2, keys = rng.random((3,) + swarm.positions.shape)
+    t, x, v, pbest, gbest = (swarm.iteration, swarm.positions, swarm.velocities,
+                             swarm.pbest_positions, swarm.gbest_position)
+    r1, r2, keys = rng.random((3, n, d))
     m = mutation_gene_count(t, config)
     alpha, beta = rng.uniform(-1.0, 1.0, (2, n, m))
 
-    v = update_velocity_standard(
-        swarm.positions, swarm.velocities, swarm.pbest_positions, swarm.gbest_position,
-        inertia_weight(t, config), config.c1, config.c2, r1, r2, limit)
+    new = (v * inertia_weight(t, config) + (config.c1 * r1) * (pbest - x)
+           + (config.c2 * r2) * (gbest - x))
     g1 = group1_size(t, config)
     if g1 < n:
         _, group2 = assign_groups(swarm.pbest_fitness, g1)
-        v[group2] = update_velocity_extended(
-            swarm.velocities[group2], swarm.pbest_positions[group2], swarm.gbest_position,
-            select_mutation_genes(keys[group2], m), alpha[group2], beta[group2], limit)
-    swarm.velocities = v
-    swarm.positions = apply_velocity(swarm.positions, v, config.bounds)
+        genes = np.sort(np.argpartition(keys[group2], m - 1)[:, :m])
+        rows = group2[:, None]
+        new[group2] = v[group2]
+        new[rows, genes] = (alpha[group2] * gbest[genes]
+                            + (1.0 - beta[group2] * v[rows, genes]) * pbest[rows, genes])
+    limit = config.velocity_limit
+    np.maximum(new, -limit, out=new)
+    swarm.velocities = np.minimum(new, limit, out=new)
+    x = x + new
+    np.maximum(x, config.bounds[:, 0], out=x)
+    swarm.positions = np.minimum(x, config.bounds[:, 1], out=x)
 
     update_bests(swarm, _evaluate(objective, swarm.positions))
     swarm.iteration += 1

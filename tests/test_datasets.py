@@ -61,6 +61,8 @@ def test_unparseable_cell_names_row_and_column(tmp_path):
         ("1,2,A\n3,4,B\nq,4,B\n", "last", "row 3, column 'f0': cannot parse 'q' as a number"),
         ("x,y,l\n1,2,A\n\n\n3,zz,B\n", "last",
          "row 5, column 'y': cannot parse 'zz' as a number"),
+        # no feature cell in the first record, so no header: "label" is read as a class
+        ("label\nA\nB\nA\nB\n", "last", "features must have at least one column"),
     ],
 )
 def test_unparseable_cell_message_is_exact(tmp_path, text, label_column, message):
@@ -396,6 +398,18 @@ def test_synth_parameter_validation():
 def test_dataset_rejects_single_class():
     with pytest.raises(DataError):
         Dataset(np.zeros((3, 2)), np.zeros(3, dtype=int), ("a", "b"), "t")
+
+
+@pytest.mark.parametrize("features, labels, message", [
+    (np.zeros((4, 0)), [0, 1, 0, 1], "features must have at least one column"),
+    (np.zeros((4, 2)), [-1, 0, 1, 1], "labels must be non-negative integers, got -1"),
+    (np.zeros((4, 2)), [0.5, 1.5, 0, 1], "labels must be non-negative integers, got 0.5"),
+])
+def test_dataset_rejects_no_features_and_labels_that_are_not_class_indices(features, labels,
+                                                                           message):
+    with pytest.raises(DataError) as exc:
+        Dataset(features, labels, ("a", "b")[:features.shape[1]], "t")
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

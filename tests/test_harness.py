@@ -329,6 +329,10 @@ def test_cli_error_paths(tmp_path, capsys):
     assert main(["select", "--data", str(tmp_path / "absent.csv")]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    (tmp_path / "labels.csv").write_text("label\nA\nB\nA\nB\n")
+    assert main(["select", "--data", str(tmp_path / "labels.csv"), "--runs", "1",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: features must have at least one column\n"
 
 
 def test_cli_dimension_too_small_for_a_hybrid_exits_2_before_any_run(tmp_path, capsys):

@@ -25,16 +25,12 @@ from epso.swarm import (
     SwarmState,
     Trace,
     _evaluate,
-    apply_velocity,
     assign_groups,
     batch_objective,
     inertia_weight,
     init_swarm,
-    select_mutation_genes,
     step,
     update_bests,
-    update_velocity_extended,
-    update_velocity_standard,
 )
 
 
@@ -111,73 +107,77 @@ def test_inertia_endpoints_and_midpoint():
 
 
 # ---------------------------------------------------------------------------
-# velocity / position updates
+# the update rule, one step from hand-set rows and draws
 # ---------------------------------------------------------------------------
 
-LIMIT = make_config().velocity_limit  # 0.2 * 20 = 4 per dimension
+class Draws:
+    """Stands in for step's generator: hands out the given r1, r2 and keys,
+    then alpha and beta, each broadcast to its row block's shape."""
+
+    def __init__(self, r1=0.0, r2=0.0, keys=0.0, alpha=0.0, beta=0.0):
+        self.unit, self.signed = (r1, r2, keys), (alpha, beta)
+
+    def random(self, shape):
+        return np.stack([np.broadcast_to(b, shape[1:]) for b in self.unit])
+
+    def uniform(self, low, high, shape):
+        assert (low, high) == (-1.0, 1.0)
+        return np.stack([np.broadcast_to(b, shape[1:]) for b in self.signed])
+
+
+def step_from(cfg, x, v, pbest, gbest, draws):
+    """The swarm after one step at t = 0 from rows x, v and pbest, fed draws."""
+    x, v, pbest = (np.atleast_2d(np.array(a, dtype=float)) for a in (x, v, pbest))
+    swarm = SwarmState(x, v, pbest, np.zeros(len(x)), np.array(gbest, dtype=float), 0.0)
+    return step(swarm, lambda row: 1.0, cfg, draws)
+
+
+def standard_config(w, c1, c2, rows=1, **kw):
+    """Every row in group 1, with inertia w at every iteration."""
+    return make_config(population_size=rows, inertia_start=w, inertia_end=w, c1=c1, c2=c2,
+                       g_pini=1.0, g_pfine=1.0, **kw)
+
+
+def extended_config(m, rows=1, **kw):
+    """Every row in group 2, each mutating m genes."""
+    return make_config(population_size=rows, g_pini=0.0, g_pfine=0.0, m_min=m, m_max=m, **kw)
 
 
 def test_standard_velocity_zero_coefficients():
-    v = update_velocity_standard(np.ones(3), np.ones(3), np.zeros(3), np.zeros(3), 0.0, 0.0, 0.0,
-                                 np.full(3, 0.3), np.full(3, 0.7), LIMIT)
-    assert np.array_equal(v, np.zeros(3))
+    s = step_from(standard_config(0.0, 0.0, 0.0), np.ones(3), np.ones(3), np.zeros(3),
+                  np.zeros(3), Draws(r1=0.3, r2=0.7))
+    assert np.array_equal(s.velocities, np.zeros((1, 3)))
 
 
 def test_standard_velocity_hand_case():
     # v=0, x=0, pbest=1, gbest=2, w=1, c1=c2=1, r1=r2=1 -> 3 per dimension, on every row
     rows = np.zeros((2, 3))
-    v = update_velocity_standard(rows, rows, np.ones((2, 3)), np.full(3, 2.0), 1.0, 1.0, 1.0,
-                                 np.ones((2, 3)), np.ones((2, 3)), LIMIT)
-    assert np.array_equal(v, np.full((2, 3), 3.0))
+    s = step_from(standard_config(1.0, 1.0, 1.0, rows=2), rows, rows, np.ones((2, 3)),
+                  np.full(3, 2.0), Draws(r1=1.0, r2=1.0))
+    assert np.array_equal(s.velocities, np.full((2, 3), 3.0))
 
 
 def test_standard_velocity_consensus_keeps_inertia_term():
     x = np.array([1.0, -2.0, 0.5])
     vel = np.array([0.5, -0.5, 1.0])
-    v = update_velocity_standard(x, vel, x.copy(), x.copy(), 0.7, 2.0, 2.0,
-                                 np.full(3, 0.3), np.full(3, 0.9), LIMIT)
-    assert np.array_equal(v, 0.7 * vel)
+    s = step_from(standard_config(0.7, 2.0, 2.0), x, vel, x, x, Draws(r1=0.3, r2=0.9))
+    assert np.array_equal(s.velocities[0], 0.7 * vel)
 
 
 def test_standard_velocity_is_clamped():
-    v = update_velocity_standard(np.zeros(3), np.zeros(3), np.full(3, 10.0), np.full(3, 10.0),
-                                 1.0, 2.0, 2.0, np.ones(3), np.ones(3), LIMIT)
-    assert np.array_equal(v, np.full(3, 4.0))
-
-
-def test_standard_velocity_dimension_mismatch():
-    z = np.zeros(3)
-    with pytest.raises(ContractError):
-        update_velocity_standard(z, z, z, np.zeros(4), 1.0, 1.0, 1.0, np.ones(3), np.ones(3), LIMIT)
-    with pytest.raises(ContractError):
-        update_velocity_standard(z, z, z, z, 1.0, 1.0, 1.0, np.ones(2), np.ones(3), LIMIT)
-
-
-def test_standard_velocity_block_matches_rows():
-    rng = np.random.default_rng(3)
-    x, v, pb, r1, r2 = (rng.uniform(-10.0, 10.0, (6, 3)) for _ in range(5))
-    g = rng.uniform(-10.0, 10.0, 3)
-    draws = (r1.copy(), r2.copy())
-    rows = [update_velocity_standard(x[i], v[i], pb[i], g, 0.7, 2.0, 1.5, r1[i], r2[i], LIMIT)
-            for i in range(6)]
-    block = update_velocity_standard(x, v, pb, g, 0.7, 2.0, 1.5, r1, r2, LIMIT)
-    assert np.array_equal(block, np.stack(rows))  # bit-identical, no tolerance
-    assert np.array_equal(r1, draws[0]) and np.array_equal(r2, draws[1])  # the draws are only read
+    s = step_from(standard_config(1.0, 2.0, 2.0), np.zeros(3), np.zeros(3), np.full(3, 10.0),
+                  np.full(3, 10.0), Draws(r1=1.0, r2=1.0))
+    assert np.array_equal(s.velocities, np.full((1, 3), 4.0))  # the limit: 0.2 * 20
 
 
 def test_apply_velocity_identity_sum_and_clamp():
-    bounds = np.array([[-5.0, 5.0]])
-    assert np.array_equal(apply_velocity(np.zeros(1), np.zeros(1), bounds), np.zeros(1))
-    assert np.array_equal(apply_velocity(np.zeros(1), np.ones(1), bounds), np.ones(1))
-    assert np.array_equal(apply_velocity(np.array([4.0]), np.array([3.0]), bounds), np.array([5.0]))
-    rows = np.array([[4.0], [-4.0], [0.0]])
-    moved = apply_velocity(rows, np.array([[3.0], [-3.0], [1.0]]), bounds)
-    assert np.array_equal(moved, np.array([[5.0], [-5.0], [1.0]]))
-
-
-def test_apply_velocity_dimension_mismatch():
-    with pytest.raises(ContractError):
-        apply_velocity(np.zeros(2), np.zeros(3), np.array([[-1.0, 1.0]] * 2))
+    # w=1, c1=c2=0 and a limit of the box's width keep v, so x' = x + v clamped into [-5, 5]
+    cfg = standard_config(1.0, 0.0, 0.0, rows=5, dimension=1, bounds=[-5.0, 5.0],
+                          velocity_clamp_fraction=1.0)
+    x = np.array([[0.0], [0.0], [4.0], [-4.0], [0.0]])
+    v = np.array([[0.0], [1.0], [3.0], [-3.0], [1.0]])
+    s = step_from(cfg, x, v, x, [0.0], Draws())
+    assert np.array_equal(s.positions, [[0.0], [1.0], [5.0], [-5.0], [1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -227,73 +227,47 @@ def test_mutation_gene_count_non_decreasing_and_bounded():
 # gene selection / extended update
 # ---------------------------------------------------------------------------
 
-def test_select_mutation_genes_forced_cases():
-    keys = np.random.default_rng(0).random(5)
-    assert set(select_mutation_genes(keys, 5)) == {0, 1, 2, 3, 4}
-    assert select_mutation_genes(keys, 0).size == 0
-    with pytest.raises(ContractError):
-        select_mutation_genes(keys, 6)
+def mutated_genes(keys, m):
+    """Each row's mutated genes, read off one step: from v = 0 with pbest = 1
+    and alpha = beta = 0, a mutated gene's velocity becomes 1, the others stay 0."""
+    n, d = keys.shape
+    s = step_from(extended_config(m, rows=n, dimension=d), np.zeros((n, d)), np.zeros((n, d)),
+                  np.ones((n, d)), np.zeros(d), Draws(keys=keys))
+    assert np.all((s.velocities == 0.0) | (s.velocities == 1.0))
+    assert np.all(np.sum(s.velocities, axis=1) == m)  # m distinct genes in every row
+    return np.nonzero(s.velocities)[1].reshape(n, m)
 
 
 def test_select_mutation_genes_reproducible_and_distinct():
-    a = select_mutation_genes(np.random.default_rng(7).random(100), 10)
-    b = select_mutation_genes(np.random.default_rng(7).random(100), 10)
-    assert np.array_equal(a, b)
-    assert len(set(a.tolist())) == 10
+    keys = np.random.default_rng(7).random((1, 100))
+    a = mutated_genes(keys, 10)
+    assert np.array_equal(a, mutated_genes(keys.copy(), 10))
+    assert np.array_equal(a[0], np.sort(np.argsort(keys[0])[:10]))  # the 10 smallest keys
 
 
 def test_extended_velocity_alpha_one_beta_zero():
     # alpha=1, beta=0, pbest=0 -> v'_i = gbest_i
     g = np.array([1.0, 2.0, 3.0])
-    v = update_velocity_extended(np.array([0.2, 0.3, 0.4]), np.zeros(3), g, [0, 1, 2],
-                                 np.ones(3), np.zeros(3), LIMIT)
-    assert np.allclose(v, g)
+    s = step_from(extended_config(3), np.zeros(3), [0.2, 0.3, 0.4], np.zeros(3), g,
+                  Draws(alpha=1.0, beta=0.0))
+    assert np.array_equal(s.velocities[0], g)
 
 
 def test_extended_velocity_alpha_zero_beta_zero():
     # v'_i = pbest_i
     pbest = np.array([0.5, -0.5, 1.5])
-    v = update_velocity_extended(np.ones(3), pbest, np.zeros(3), [0, 1, 2],
-                                 np.zeros(3), np.zeros(3), LIMIT)
-    assert np.allclose(v, pbest)
+    s = step_from(extended_config(3), np.zeros(3), np.ones(3), pbest, np.zeros(3),
+                  Draws(alpha=0.0, beta=0.0))
+    assert np.array_equal(s.velocities[0], pbest)
 
 
-def test_extended_velocity_untouched_genes_and_empty_set():
-    vel = np.array([0.1, 0.2, 0.3])
-    g = np.full(3, 3.0)
-    wide = make_config(bounds=[-100.0, 100.0]).velocity_limit  # 40, inactive here
-    v = update_velocity_extended(vel, np.full(3, 2.0), g, [1], np.ones(1), np.zeros(1), wide)
-    assert v[0] == pytest.approx(0.1) and v[2] == pytest.approx(0.3)
-    assert v[1] == pytest.approx(3.0 + 2.0)
-    empty = np.empty(0)
-    no_genes = np.empty(0, dtype=int)
-    v2 = update_velocity_extended(vel, np.full(3, 2.0), g, no_genes, empty, empty, wide)
-    assert np.array_equal(v2, vel)
-    assert np.array_equal(vel, [0.1, 0.2, 0.3])  # the input is not modified
-
-
-def test_extended_velocity_index_out_of_range():
-    z = np.zeros(3)
-    with pytest.raises(ContractError):
-        update_velocity_extended(z, z, z, [3], np.zeros(1), np.zeros(1), LIMIT)
-
-
-def test_extended_velocity_block_matches_rows():
-    rng = np.random.default_rng(4)
-    v, pb = rng.uniform(-5.0, 5.0, (4, 6)), rng.uniform(-5.0, 5.0, (4, 6))
-    g = rng.uniform(-5.0, 5.0, 6)
-    limit = np.full(6, 4.0)
-    genes = np.stack([np.sort(rng.choice(6, 3, replace=False)) for _ in range(4)])
-    alpha, beta = rng.uniform(-1.0, 1.0, (4, 3)), rng.uniform(-1.0, 1.0, (4, 3))
-    rows = [update_velocity_extended(v[i], pb[i], g, genes[i], alpha[i], beta[i], limit)
-            for i in range(4)]
-    block = update_velocity_extended(v, pb, g, genes, alpha, beta, limit)
-    assert np.array_equal(block, np.stack(rows))
-    for i in range(4):  # the hand formula on the mutated genes, the old velocity elsewhere
-        want = v[i].copy()
-        j = genes[i]
-        want[j] = alpha[i] * g[j] + (1.0 - beta[i] * v[i, j]) * pb[i, j]
-        assert np.array_equal(rows[i], np.clip(want, -limit, limit))
+def test_extended_velocity_untouched_genes():
+    vel = np.array([[0.1, 0.2, 0.3]])
+    cfg = extended_config(1, bounds=[-100.0, 100.0])  # a limit of 40, inactive here
+    s = step_from(cfg, np.zeros(3), vel, np.full(3, 2.0), np.full(3, 3.0),
+                  Draws(keys=[0.9, 0.1, 0.5], alpha=1.0, beta=0.0))  # gene 1 has the smallest key
+    assert s.velocities[0].tolist() == [0.1, 3.0 + 2.0, 0.3]
+    assert vel.tolist() == [[0.1, 0.2, 0.3]]  # the input is not modified
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +411,24 @@ def test_step_past_max_iterations_rejected():
     step(swarm, sphere, cfg, rng)
     with pytest.raises(ContractError):
         step(swarm, sphere, cfg, rng)
+
+
+@pytest.mark.parametrize("field, shape", [
+    ("positions", (10, 4)), ("velocities", (9, 3)), ("pbest_positions", (10,)),
+    ("pbest_fitness", (11,)), ("pbest_fitness", (10, 1)), ("gbest_position", (4,)),
+    ("gbest_position", (1, 3)),
+])
+def test_step_rejects_a_state_that_does_not_match_the_config(field, shape):
+    cfg = make_config(max_iterations=5)  # P=10, D=3
+    rng = np.random.default_rng(cfg.seed)
+    swarm = init_swarm(cfg, sphere, rng)
+    setattr(swarm, field, np.zeros(shape))
+    drawn = rng.bit_generator.state
+    with pytest.raises(ContractError, match=r"^positions, velocities, pbest_positions, "
+                       r"pbest_fitness and gbest_position must have shapes "
+                       r"\(\(10, 3\), \(10, 3\), \(10, 3\), \(10,\), \(3,\)\), got "):
+        step(swarm, sphere, cfg, rng)
+    assert rng.bit_generator.state == drawn and swarm.iteration == 0  # nothing was drawn
 
 
 @pytest.mark.parametrize("mode", [None, 1, "PSO"])
@@ -728,6 +720,24 @@ def shifted_sphere(cfg: EpsoConfig, pull: float):
     return lambda x: float(np.sum(((x - target) / (hi - lo)) ** 2))
 
 
+def tied_sphere(cfg: EpsoConfig, pull: float):
+    """shifted_sphere floored to a grid of 1/4, with a NaN plateau on the lowest
+    tenth of the first coordinate's range and a +inf plateau on its top tenth:
+    many equal values, and rows whose values update_bests rejects."""
+    value = shifted_sphere(cfg, pull)
+    lo, width = cfg.bounds[0, 0], cfg.bounds[0, 1] - cfg.bounds[0, 0]
+
+    def objective(x):
+        u = (x[0] - lo) / width
+        if u < 0.1:
+            return float("nan")
+        if u > 0.9:
+            return float("inf")
+        return float(np.floor(4.0 * value(x)) / 4.0)
+
+    return objective
+
+
 def run_steps(cfg, objective, mode, rng):
     """init_swarm and each step, as optimize runs them: PSO is the flat schedule."""
     if mode == "pso":
@@ -815,10 +825,11 @@ def reference_run(cfg, objective, mode):
         yield x, v, pbest, pfit, gbest, gfit
 
 
-@settings(max_examples=100, deadline=None)
-@given(configs(), st.sampled_from(["pso", "epso"]), st.floats(-2.0, 2.0))
-def test_property_step_equals_the_plain_loop_reference(cfg, mode, pull):
-    objective = shifted_sphere(cfg, pull)
+@settings(max_examples=150, deadline=None)
+@given(configs(), st.sampled_from(["pso", "epso"]), st.floats(-2.0, 2.0),
+       st.sampled_from([shifted_sphere, tied_sphere]))
+def test_property_step_equals_the_plain_loop_reference(cfg, mode, pull, landscape):
+    objective = landscape(cfg, pull)
     rng = np.random.default_rng(cfg.seed)
     for swarm, ref in zip(run_steps(cfg, objective, mode, rng),
                           reference_run(cfg, objective, mode), strict=True):
@@ -861,7 +872,7 @@ def test_gene_draws_are_uniform_over_subsets():
     # D=6, m=2: 15 subsets, 1,000 expected each. 36.12 is the 0.999 quantile
     # of chi-square with 14 degrees of freedom, fixed before the test was run.
     keys = np.random.default_rng(2024).random((15_000, 6))
-    genes = select_mutation_genes(keys, 2)
+    genes = mutated_genes(keys, 2)
     assert np.all(genes[:, 0] < genes[:, 1])
     subsets, counts = np.unique(genes, axis=0, return_counts=True)
     assert len(subsets) == 15
