@@ -33,16 +33,17 @@ class Dataset:
     def __post_init__(self):
         x = np.asarray(self.features, dtype=float, order="F")
         raw = np.asarray(self.labels)
-        y = raw.astype(int)
         if x.ndim != 2:
             raise DataError("features must be a 2-D matrix")
         if x.shape[1] == 0:
             raise DataError("features must have at least one column")
-        if y.shape != (x.shape[0],):
+        if raw.shape != (x.shape[0],):
             raise DataError("labels must have one entry per observation")
-        bad = (y < 0) | (y != raw)
-        if bad.any():
+        num = raw if raw.dtype.kind in "biuf" else np.full(raw.shape, np.nan)  # e.g. strings
+        bad = ~(np.isfinite(num) & (num >= 0) & (num == np.trunc(num)))
+        if bad.any():  # checked before the cast, which would raise or warn on them
             raise DataError(f"labels must be non-negative integers, got {raw[bad][0]}")
+        y = raw.astype(int)
         if len(self.feature_names) != x.shape[1]:
             raise DataError("feature_names must have one entry per feature")
         if not np.isfinite(x).all():
@@ -79,13 +80,13 @@ def _is_number(cell: str) -> bool:
 
 def _csv_rows(path: Path):
     """The file's non-blank rows, read one at a time, each with its 1-based
-    record number in the file (blank records count). A record the csv module
-    refuses, such as a cell over its field size limit, is a DataError, and so
-    is a byte that is not UTF-8 (the text reader decodes ahead of the csv
-    reader, so that error names no record)."""
+    record number in the file (blank records count), a byte-order mark
+    skipped. A record the csv module refuses, such as a cell over its field
+    size limit, is a DataError, and so is a byte that is not UTF-8 (the text
+    reader decodes ahead of the csv reader, so that error names no record)."""
     line = 0
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             for line, row in enumerate(csv.reader(fh), start=1):
                 if any(cell.strip() for cell in row):
                     yield line, row
@@ -137,15 +138,10 @@ def _read_head(path: Path, label_column: str) -> _Head:
 
 
 def _parse_numbers(path: Path, head: _Head) -> tuple[np.ndarray, list[str]]:
-    """The data records in one np.loadtxt pass: the (n, F) feature-major
-    matrix and the stripped label cells.
-
-    Raises on anything the C reader refuses (empty, unparseable or quoted
-    cells, ragged rows, no data), so the caller can fall back to _parse_rows.
-    """
-    with open(path, "rb") as fh:  # a quoted record may span lines; skiprows counts lines
-        if any(b'"' in chunk for chunk in iter(lambda: fh.read(1 << 20), b"")):
-            raise ValueError("quoted cells are left to the csv module")
+    """The data records in one np.loadtxt pass, which reads quoted cells as
+    the csv module does: the (n, F) feature-major matrix and the stripped
+    label cells. Raises on anything the C reader refuses, so the caller can
+    fall back to _parse_rows."""
     labels: list[str] = []
 
     def label(cell: str) -> float:
@@ -157,8 +153,9 @@ def _parse_numbers(path: Path, head: _Head) -> tuple[np.ndarray, list[str]]:
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # e.g. "input contained no data"
-        table = np.loadtxt(path, delimiter=",", comments=None, skiprows=head.skip,
-                           ndmin=2, encoding="utf-8", converters={head.label_idx: label})
+        table = np.loadtxt(path, delimiter=",", comments=None, skiprows=head.skip, ndmin=2,
+                           encoding="utf-8-sig", quotechar='"',
+                           converters={head.label_idx: label})
     if table.shape[1] != head.width or len(labels) != table.shape[0]:
         raise ValueError("data records do not match the first record")
     k = head.label_idx
@@ -209,12 +206,12 @@ def load_csv(path, label_column: str = "last") -> Dataset:
     non-numeric feature cells are an error naming the row and column.
     Class identifiers map to dense integers in first-occurrence order.
 
-    A file without a '"' is parsed in one np.loadtxt pass, which holds the
-    numeric table and the feature matrix copied out of it. Anything that
-    reader refuses (quoted, empty or unparseable cells, ragged rows, floats
-    only Python's float() reads, such as 1_000 or non-ASCII digits) sends
-    the file through the csv module row by row instead, so every accepted
-    value, warning and error message is the row parser's.
+    A byte-order mark is skipped. The file is parsed in one np.loadtxt pass,
+    which reads quoted cells as the csv module does. Anything that reader
+    refuses (empty or unparseable cells, whitespace-only records, ragged rows,
+    floats only Python's float() reads, such as 1_000, or a quoted header
+    that spans lines) is read again row by row with the csv module, so every
+    accepted value, warning and error message is the row parser's.
     """
     path = Path(path)
     head = _read_head(path, label_column)

@@ -75,16 +75,17 @@ def knn_classify(train_features, train_labels, query, k: int = 1) -> int:
     return int(y[order[0]])
 
 
-def _knn_accuracy(x: np.ndarray, y: np.ndarray, fold_id: np.ndarray) -> float:
+def _knn_accuracy(x: np.ndarray, y: np.ndarray, fold_id: np.ndarray, same_fold: np.ndarray,
+                  fold_sizes: np.ndarray) -> float:
     """Mean per-fold 1NN accuracy of the (selected, n) feature-major block x,
     every fold scored from one n x n distance matrix.
 
     An evaluation holds x and one n x n Gram x.T @ x, which is reused in
     place for the distances; the squared row norms are the Gram's diagonal,
-    so every self-distance is exactly 0. Same-fold pairs (the diagonal among
-    them) are set to +inf, so each row only finds neighbors in the other
-    folds. Among distances that compare equal, the lower row index wins, as
-    in knn_classify with k=1. That rule is exact only where the computed
+    so every self-distance is exactly 0. Same-fold pairs (same_fold, the
+    diagonal among them) are set to +inf, so each row only finds neighbors in
+    the other folds. Among distances that compare equal, the lower row index
+    wins, as in knn_classify with k=1. That rule is exact only where the computed
     distances tie exactly: among two or more exact duplicates of a row,
     rounding can make a duplicate other than the lowest-indexed one nearest.
     """
@@ -93,27 +94,27 @@ def _knn_accuracy(x: np.ndarray, y: np.ndarray, fold_id: np.ndarray) -> float:
     dist *= 2.0
     np.subtract(np.add.outer(sq, sq), dist, out=dist)
     np.maximum(dist, 0.0, out=dist)
-    np.putmask(dist, fold_id[:, None] == fold_id[None, :], np.inf)
+    np.putmask(dist, same_fold, np.inf)
     pred = y[np.argmin(dist, axis=1)]
     hits = np.bincount(fold_id, weights=pred == y)
-    return float(np.mean(hits / np.bincount(fold_id)))
+    return float(np.mean(hits / fold_sizes))
 
 
-def _fold_ids(d: Dataset, cfg: WrapperConfig, seed: int) -> np.ndarray:
-    """Fold index of every row; leave-one-out gives each row its own fold."""
-    if cfg.protocol == "loo":
-        return np.arange(d.n_samples)
-    fold_id = np.empty(d.n_samples, dtype=np.intp)
-    for f, fold in enumerate(stratified_folds(d, cfg.k_folds, seed)):
-        fold_id[fold] = f
-    return fold_id
+def _folds(d: Dataset, cfg: WrapperConfig, seed: int) -> tuple[np.ndarray, ...]:
+    """_knn_accuracy's fold arguments, built once per objective: the fold index
+    of every row, the n x n same-fold mask and the fold sizes."""
+    fold_id = np.arange(d.n_samples)  # leave-one-out: each row is its own fold
+    if cfg.protocol == "kfold":
+        for f, fold in enumerate(stratified_folds(d, cfg.k_folds, seed)):
+            fold_id[fold] = f
+    return fold_id, fold_id[:, None] == fold_id[None, :], np.bincount(fold_id)
 
 
-def _masked_accuracy(d: Dataset, mask: np.ndarray, fold_id: np.ndarray) -> float:
+def _masked_accuracy(d: Dataset, mask: np.ndarray, folds: tuple[np.ndarray, ...]) -> float:
     if not mask.any():
         return 0.0  # empty masks score worst instead of erroring
     # features.T is a C-contiguous (F, n) view, so the gather copies whole rows
-    return _knn_accuracy(np.compress(mask, d.features.T, axis=0), d.labels, fold_id)
+    return _knn_accuracy(np.compress(mask, d.features.T, axis=0), d.labels, *folds)
 
 
 def evaluate_mask(d: Dataset, mask, cfg: WrapperConfig, seed: int = 0) -> float:
@@ -121,7 +122,7 @@ def evaluate_mask(d: Dataset, mask, cfg: WrapperConfig, seed: int = 0) -> float:
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (d.n_features,):
         raise ContractError(f"mask must have shape ({d.n_features},), got {mask.shape}")
-    return _masked_accuracy(d, mask, _fold_ids(d, cfg, seed))
+    return _masked_accuracy(d, mask, _folds(d, cfg, seed))
 
 
 def wrapper_objective(d: Dataset, cfg: WrapperConfig, seed: int = 0) -> Objective:
@@ -131,13 +132,13 @@ def wrapper_objective(d: Dataset, cfg: WrapperConfig, seed: int = 0) -> Objectiv
     function of the position for the whole run. A position of any shape
     other than (F,) is a ContractError.
     """
-    fold_id = _fold_ids(d, cfg, seed)
+    folds = _folds(d, cfg, seed)
 
     def objective(position) -> float:
         mask = binarize(position, cfg.threshold)
         if mask.shape != (d.n_features,):
             raise ContractError(f"position must have shape ({d.n_features},), got {mask.shape}")
-        return 1.0 - _masked_accuracy(d, mask, fold_id)
+        return 1.0 - _masked_accuracy(d, mask, folds)
 
     return objective
 

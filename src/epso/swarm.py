@@ -308,12 +308,13 @@ def step(swarm: SwarmState, objective: Objective, config: EpsoConfig,
         new[group2] = v[group2]
         new[rows, genes] = (alpha[group2] * gbest[genes]
                             + (1.0 - beta[group2] * v[rows, genes]) * pbest[rows, genes])
+    # bound first: on a signed-zero tie numpy returns the second operand, the value
     limit = config.velocity_limit
-    np.maximum(new, -limit, out=new)
-    swarm.velocities = np.minimum(new, limit, out=new)
+    np.maximum(-limit, new, out=new)
+    swarm.velocities = np.minimum(limit, new, out=new)
     x = x + new
-    np.maximum(x, config.bounds[:, 0], out=x)
-    swarm.positions = np.minimum(x, config.bounds[:, 1], out=x)
+    np.maximum(config.bounds[:, 0], x, out=x)
+    swarm.positions = np.minimum(config.bounds[:, 1], x, out=x)
 
     update_bests(swarm, _evaluate(objective, swarm.positions))
     swarm.iteration += 1

@@ -98,6 +98,50 @@ def test_non_utf8_file_is_a_data_error(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "text, label_column, names, features, labels",
+    [
+        # headerless: the first row stays a data row
+        ("1.5,2,A\n3,4,B\n5,6,A\n", "last", ("f0", "f1"), [[1.5, 2], [3, 4], [5, 6]], [0, 1, 0]),
+        # the first header name is "label", not "\ufefflabel"
+        ("label,x,y\nA,1,2\nB,3,4\n", "label", ("x", "y"), [[1, 2], [3, 4]], [0, 1]),
+        # the first label is "A", not a third class "\ufeffA"
+        ("A,1\nB,2\nA,3\nB,4\n", "first", ("f0",), [[1], [2], [3], [4]], [0, 1, 0, 1]),
+    ],
+    ids=["headerless", "header", "label-first"],
+)
+def test_byte_order_mark_is_not_part_of_the_first_cell(tmp_path, text, label_column, names,
+                                                       features, labels):
+    p = write(tmp_path, "\ufeff" + text)
+    for d in (load_csv(p, label_column), load_by_rows(p, label_column)):
+        assert d.feature_names == names
+        assert d.features.tolist() == features
+        assert d.labels.tolist() == labels
+
+
+def test_r_style_quoted_file_is_read_by_numpy(tmp_path, monkeypatch):
+    # R's write.csv quotes the header and the class labels, not the numbers
+    p = write(tmp_path, '"x","y","class"\n1.5,2,"A"\n3,4,"B, b"\n5,6,"A"\n7,8,"C ""c"""\n')
+
+    def refuse(*args):
+        raise AssertionError("the row parser was reached")
+
+    monkeypatch.setattr(datasets, "_parse_rows", refuse)
+    d = load_csv(p, "class")
+    assert d.feature_names == ("x", "y")
+    assert d.features.tolist() == [[1.5, 2], [3, 4], [5, 6], [7, 8]]
+    assert d.labels.tolist() == [0, 1, 0, 2]
+
+
+def test_quoted_header_spanning_lines_goes_to_the_row_parser(tmp_path):
+    # np.loadtxt's skiprows counts lines, not records, so it refuses the header's second line
+    p = write(tmp_path, 'x,"y\nsecond",label\n1,2,A\n3,4,B\n')
+    with pytest.raises(ValueError):
+        datasets._parse_numbers(p, datasets._read_head(p, "last"))
+    assert outcome(lambda: load_csv(p)) == outcome(lambda: load_by_rows(p, "last"))
+    assert load_csv(p).feature_names == ("x", "y\nsecond")
+
+
+@pytest.mark.parametrize(
     "text, message",
     [
         ("1,2,A\n3,4\n", "row 2: expected 3 cells, got 2"),
@@ -169,16 +213,16 @@ def test_property_save_load_roundtrip_is_exact(d):
 
 
 # Cells numpy's C reader refuses, so a file holding one goes through the row
-# parser: empty, underscored, a non-ASCII digit, quoted, and '#' (no comments).
-ROW_PARSER_CELLS = ["", "1_0", "\u0661", '"1.5"', "#3"]
+# parser: empty, underscored, a non-ASCII digit, and '#' (no comments).
+ROW_PARSER_CELLS = ["", "1_0", "\u0661", "#3"]
 
 
 @st.composite
 def csv_files(draw):
     """Small CSV texts with a label column, optional header, blank and
-    whitespace-only records, ragged rows and the cells either parser may
-    meet. Returns (text, label_column, fast) where fast says numpy's reader
-    must take the file."""
+    whitespace-only records, ragged rows, quoted cells and the cells either
+    parser may meet, with or without a byte-order mark. Returns (text,
+    label_column, fast) where fast says numpy's reader must take the file."""
     width = draw(st.integers(2, 4))
     header = draw(st.booleans())
     label_column = draw(st.sampled_from(["first", "last", "label"] if header else ["first", "last"]))
@@ -186,14 +230,20 @@ def csv_files(draw):
     if label_idx is None:
         label_idx = draw(st.integers(0, width - 1))
     number = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.integers(-9, 9).map(str)
-    odd = draw(st.lists(st.sampled_from(["inf", "nan"] + ROW_PARSER_CELLS), max_size=2))
+    odd = draw(st.lists(st.sampled_from(["inf", "nan", '"1.5"'] + ROW_PARSER_CELLS), max_size=2))
     cell = st.one_of(number, number.map(" {} ".format), *([st.sampled_from(odd)] if odd else []))
-    label = st.sampled_from(["1", "1.0", " A ", ""])
+    # quoted labels: R's write.csv style, a comma, a doubled quote, a newline, empty
+    label = st.sampled_from(["1", "1.0", " A ", "", '"A"', '"A,B"', '"A""B"', '"A\nB"', '""'])
 
     records, fast = [], True
     if header:
         names = [f"c{i}" for i in range(width)]
         names[label_idx] = "label"
+        names = [f'"{n}"' if draw(st.booleans()) else n for n in names]
+        if draw(st.integers(0, 5)) == 0:  # a quoted feature name spanning two lines
+            i = (label_idx + 1) % width
+            names[i] = f'"c\n{i}"'
+            fast = False
         records.append(",".join(names))
     for kind in draw(st.lists(st.sampled_from(["row"] * 6 + ["blank", "spaces", "ragged"]),
                               min_size=1, max_size=8)):
@@ -208,12 +258,13 @@ def csv_files(draw):
         cells.insert(label_idx, draw(label))
         if kind == "ragged":
             cells.pop()
-        fast = fast and kind == "row" and cells[label_idx] != "" and not set(cells) & set(ROW_PARSER_CELLS)
+        fast = (fast and kind == "row" and cells[label_idx] not in ("", '""')
+                and not set(cells) & set(ROW_PARSER_CELLS))
         records.append(",".join(cells))
     fast = fast and any(records[header:])  # at least one data row
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     text = newline.join(records) + draw(st.sampled_from(["", newline]))
-    return text, label_column, fast
+    return draw(st.sampled_from(["", "\ufeff"])) + text, label_column, fast
 
 
 def outcome(load):
@@ -404,11 +455,16 @@ def test_dataset_rejects_single_class():
     (np.zeros((4, 0)), [0, 1, 0, 1], "features must have at least one column"),
     (np.zeros((4, 2)), [-1, 0, 1, 1], "labels must be non-negative integers, got -1"),
     (np.zeros((4, 2)), [0.5, 1.5, 0, 1], "labels must be non-negative integers, got 0.5"),
+    (np.zeros((4, 2)), ["a", "b", "a", "b"], "labels must be non-negative integers, got a"),
+    (np.zeros((4, 2)), [0, np.nan, 0, 1], "labels must be non-negative integers, got nan"),
+    (np.zeros((4, 2)), [0, 1, np.inf, 1], "labels must be non-negative integers, got inf"),
 ])
 def test_dataset_rejects_no_features_and_labels_that_are_not_class_indices(features, labels,
                                                                            message):
-    with pytest.raises(DataError) as exc:
-        Dataset(features, labels, ("a", "b")[:features.shape[1]], "t")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no cast warning before the DataError
+        with pytest.raises(DataError) as exc:
+            Dataset(features, labels, ("a", "b")[:features.shape[1]], "t")
     assert str(exc.value) == message
 
 
@@ -429,15 +485,17 @@ def test_dataset_rejects_non_finite_features_naming_the_first(value):
 
 def test_features_are_feature_major_from_every_source(tmp_path):
     fast = write(tmp_path, "x,y,label\n1,2,A\n3,4,B\n5,6,A\n", "fast.csv")
-    rows = write(tmp_path, '"x",y,label\n1,2,A\n3,4,B\n5,6,A\n', "rows.csv")
+    rows = write(tmp_path, "x,y,label\n1,2,A\n3,4,B\n5,6,A\n7,,B\n", "rows.csv")  # an empty cell
     with pytest.raises(ValueError):
         datasets._parse_numbers(rows, datasets._read_head(rows, "last"))
+    with pytest.warns(UserWarning, match="dropped 1"):
+        from_rows = load_csv(rows)
     c_order = np.arange(12.0).reshape(4, 3)
     assert c_order.flags.c_contiguous
     strided = np.arange(60.0).reshape(6, 10)[::2, ::3]
     made = {
         "load_csv fast path": load_csv(fast),
-        "load_csv row parser": load_csv(rows),
+        "load_csv row parser": from_rows,
         "normalize_minmax": normalize_minmax(make_dataset([[1.0, 4.0, 9.0], [2.0, 2.0, 8.0]])),
         "synth_dataset": synth_dataset(20, 5, 2, seed=1),
         "C-ordered array": Dataset(c_order, np.array([0, 1, 0, 1]), ("a", "b", "c"), "t"),
@@ -450,4 +508,4 @@ def test_features_are_feature_major_from_every_source(tmp_path):
         assert d.features.T.flags.c_contiguous, source
         assert d.features.dtype == np.float64, source
     assert np.array_equal(made["strided array"].features, strided)
-    assert load_csv(fast).features.tobytes() == load_csv(rows).features.tobytes()
+    assert load_csv(fast).features.tobytes() == from_rows.features.tobytes()

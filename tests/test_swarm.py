@@ -3,7 +3,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epso import (
@@ -828,6 +828,10 @@ def reference_run(cfg, objective, mode):
 @settings(max_examples=150, deadline=None)
 @given(configs(), st.sampled_from(["pso", "epso"]), st.floats(-2.0, 2.0),
        st.sampled_from([shifted_sphere, tied_sphere]))
+# a lower bound of -0.0: a position clamped onto it keeps the sign of x + v, as in clamp()
+@example(EpsoConfig(dimension=1, bounds=np.array([[-0.0, 6.0]]), population_size=1,
+                    max_iterations=2, g_pini=0.0, g_pfine=0.0, m_min=1, m_max=1,
+                    velocity_clamp_fraction=1.0, seed=0), "epso", 0.0, shifted_sphere)
 def test_property_step_equals_the_plain_loop_reference(cfg, mode, pull, landscape):
     objective = landscape(cfg, pull)
     rng = np.random.default_rng(cfg.seed)
