@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -21,8 +22,8 @@ class Dataset:
     """An immutable, finite feature matrix (one column or more) with dense integer class labels.
 
     features is stored feature-major (Fortran order, each feature's column
-    contiguous), so features.T is a C-contiguous (n_features, n_samples) view
-    and the gather of a feature mask copies whole rows of it.
+    contiguous), so features.T is a C-contiguous (n_features, n_samples) view,
+    and the 1NN kernel's float32 copy of it gathers a feature mask as whole rows.
     """
 
     features: np.ndarray      # (n_samples, n_features) float, Fortran order
@@ -69,6 +70,15 @@ class Dataset:
     def n_classes(self) -> int:
         return int(self.labels.max()) + 1
 
+    @cached_property
+    def _features32(self) -> np.ndarray:
+        """features.T as a C-ordered float32 (F, n) array for the 1NN kernel, built on first
+        use: scaled by the power of two that brings its largest |value| to at most 1, so
+        nothing overflows and the scaling adds no rounding."""
+        xt = self.features.T
+        exponent = np.frexp(max(xt.max(), -xt.min()))[1]
+        return np.ldexp(xt, -exponent, out=np.empty(xt.shape, np.float32), casting="unsafe")
+
 
 def _is_number(cell: str) -> bool:
     try:
@@ -80,16 +90,19 @@ def _is_number(cell: str) -> bool:
 
 def _csv_rows(path: Path):
     """The file's non-blank rows, read one at a time, each with its 1-based
-    record number in the file (blank records count), a byte-order mark
-    skipped. A record the csv module refuses, such as a cell over its field
-    size limit, is a DataError, and so is a byte that is not UTF-8 (the text
-    reader decodes ahead of the csv reader, so that error names no record)."""
+    record number in the file (blank records count) and the file's line
+    counts before and after it, a byte-order mark skipped. A record the csv
+    module refuses, such as a cell over its field size limit, is a
+    DataError, and so is a byte that is not UTF-8 (the text reader decodes
+    ahead of the csv reader, so that error names no record)."""
     line = 0
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            for line, row in enumerate(csv.reader(fh), start=1):
+            reader, before = csv.reader(fh), 0
+            for line, row in enumerate(reader, start=1):
                 if any(cell.strip() for cell in row):
-                    yield line, row
+                    yield line, (before, reader.line_num), row
+                before = reader.line_num
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except csv.Error as exc:
@@ -105,7 +118,7 @@ class _Head(NamedTuple):
     width: int
     label_idx: int
     names: tuple[str, ...]
-    skip: int  # records before the first data record, blank ones included
+    skip: int  # lines before the first data record (np.loadtxt's skiprows)
 
 
 def _read_head(path: Path, label_column: str) -> _Head:
@@ -114,7 +127,8 @@ def _read_head(path: Path, label_column: str) -> _Head:
     rows.close()
     if first_record is None:
         raise DataError(f"{path} contains no data")
-    line, first = first_record[0], [c.strip() for c in first_record[1]]
+    _, (before, after), first = first_record
+    first = [c.strip() for c in first]
 
     width = len(first)
     by_name = label_column not in ("first", "last")
@@ -133,8 +147,8 @@ def _read_head(path: Path, label_column: str) -> _Head:
     )
     if has_header:
         names = tuple(c for i, c in enumerate(first) if i != label_idx)
-        return _Head(width, label_idx, names, line)
-    return _Head(width, label_idx, tuple(f"f{i}" for i in range(width - 1)), line - 1)
+        return _Head(width, label_idx, names, after)
+    return _Head(width, label_idx, tuple(f"f{i}" for i in range(width - 1)), before)
 
 
 def _parse_numbers(path: Path, head: _Head) -> tuple[np.ndarray, list[str]]:
@@ -153,8 +167,8 @@ def _parse_numbers(path: Path, head: _Head) -> tuple[np.ndarray, list[str]]:
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # e.g. "input contained no data"
-        table = np.loadtxt(path, delimiter=",", comments=None, skiprows=head.skip, ndmin=2,
-                           encoding="utf-8-sig", quotechar='"',
+        table = np.loadtxt(path, delimiter=",", comments=None, skiprows=head.skip,
+                           ndmin=2, encoding="utf-8-sig", quotechar='"',
                            converters={head.label_idx: label})
     if table.shape[1] != head.width or len(labels) != table.shape[0]:
         raise ValueError("data records do not match the first record")
@@ -172,8 +186,8 @@ def _parse_rows(path: Path, head: _Head) -> tuple[np.ndarray, list[str]]:
     features: list[np.ndarray] = []
     raw_labels: list[str] = []
     dropped = 0
-    for line, row in _csv_rows(path):
-        if line <= head.skip:
+    for line, (_, end), row in _csv_rows(path):
+        if end <= head.skip:
             continue
         if len(row) != head.width:
             raise DataError(f"row {line}: expected {head.width} cells, got {len(row)}")
@@ -209,9 +223,9 @@ def load_csv(path, label_column: str = "last") -> Dataset:
     A byte-order mark is skipped. The file is parsed in one np.loadtxt pass,
     which reads quoted cells as the csv module does. Anything that reader
     refuses (empty or unparseable cells, whitespace-only records, ragged rows,
-    floats only Python's float() reads, such as 1_000, or a quoted header
-    that spans lines) is read again row by row with the csv module, so every
-    accepted value, warning and error message is the row parser's.
+    or floats only Python's float() reads, such as 1_000) is read again row
+    by row with the csv module, so every accepted value, warning and error
+    message is the row parser's.
     """
     path = Path(path)
     head = _read_head(path, label_column)
@@ -246,14 +260,13 @@ def save_csv(d: Dataset, path) -> None:
 
 def normalize_minmax(d: Dataset) -> Dataset:
     """Map every feature column linearly to [0, 1]; constant columns become 0."""
-    x = d.features
-    lo = x.min(axis=0)
-    hi = x.max(axis=0)
-    span = hi - lo
-    safe = np.where(span == 0.0, 1.0, span)
-    scaled = (x - lo) / safe
-    scaled[:, span == 0.0] = 0.0
-    return Dataset(scaled, d.labels, d.feature_names, d.name)
+    xt = d.features.T  # C-contiguous (F, n): each feature is one row
+    lo = xt.min(axis=1, keepdims=True)
+    span = xt.max(axis=1, keepdims=True) - lo
+    scaled = np.subtract(xt, lo)
+    scaled /= np.where(span == 0.0, 1.0, span)
+    scaled[span[:, 0] == 0.0] = 0.0
+    return Dataset(scaled.T, d.labels, d.feature_names, d.name)
 
 
 def stratified_folds(d: Dataset, k: int, seed: int) -> list[np.ndarray]:

@@ -75,29 +75,45 @@ def knn_classify(train_features, train_labels, query, k: int = 1) -> int:
     return int(y[order[0]])
 
 
-def _knn_accuracy(x: np.ndarray, y: np.ndarray, fold_id: np.ndarray, same_fold: np.ndarray,
-                  fold_sizes: np.ndarray) -> float:
-    """Mean per-fold 1NN accuracy of the (selected, n) feature-major block x,
-    every fold scored from one n x n distance matrix.
+def _knn_accuracy(d: Dataset, mask: np.ndarray, folds: tuple[np.ndarray, ...]) -> float:
+    """Mean per-fold 1NN accuracy of the s features a (F,) bool mask selects
+    (0 for an empty mask), every fold scored from one n x n float32 Gram,
+    with float64 only where a near tie could change a hit.
 
-    An evaluation holds x and one n x n Gram x.T @ x, which is reused in
-    place for the distances; the squared row norms are the Gram's diagonal,
-    so every self-distance is exactly 0. Same-fold pairs (same_fold, the
-    diagonal among them) are set to +inf, so each row only finds neighbors in
-    the other folds. Among distances that compare equal, the lower row index
-    wins, as in knn_classify with k=1. That rule is exact only where the computed
-    distances tie exactly: among two or more exact duplicates of a row,
-    rounding can make a duplicate other than the lowest-indexed one nearest.
+    The (s, n) block is gathered from the Dataset's float32 copy of
+    features.T, which a power of two scales to |values| <= 1: the nearest
+    neighbors are unchanged and nothing overflows. Row i scores sample j by sq_j - 2 g_ij
+    (sq_i is constant along the row), and same-fold pairs, the diagonal
+    among them, by +inf. Its candidates are the samples scoring within
+    8 sqrt(s) u (sq_i + max sq) + s 2^-146 of its best, u = 2^-24 (the
+    second term covers float32 underflow). A row is a hit when every
+    candidate has its label and a miss when none has; otherwise knn_classify
+    settles it from the candidates' float64 values, so distance ties go to
+    the lower row index. The tolerance was measured, not proven: a float32
+    error beyond it could drop the true nearest sample from the candidates.
     """
-    dist = x.T @ x
-    sq = dist.diagonal().copy()
-    dist *= 2.0
-    np.subtract(np.add.outer(sq, sq), dist, out=dist)
-    np.maximum(dist, 0.0, out=dist)
-    np.putmask(dist, same_fold, np.inf)
-    pred = y[np.argmin(dist, axis=1)]
-    hits = np.bincount(fold_id, weights=pred == y)
-    return float(np.mean(hits / fold_sizes))
+    if not mask.any():
+        return 0.0  # empty masks score worst instead of erroring
+    fold_id, same_fold, fold_sizes = folds
+    x = np.compress(mask, d._features32, axis=0)
+    s = x.shape[0]
+    score = x.T @ x
+    sq = score.diagonal().copy()
+    score *= -2.0
+    score += sq
+    np.putmask(score, same_fold, np.inf)
+    tol = 8.0 * np.sqrt(s) * 2.0**-24 * (sq + sq.max()) + s * 2.0**-146
+    # a float32 bound keeps the compare in float32; rounding is monotone, so
+    # it admits exactly the scores the float64 bound admits
+    cand = score <= (score.min(axis=1) + tol).astype(np.float32)[:, None]
+    y = d.labels
+    same_label = y[:, None] == y
+    hit = ~(cand > same_label).any(axis=1)
+    for i in np.flatnonzero(~hit & (cand & same_label).any(axis=1)):
+        j = np.flatnonzero(cand[i])
+        x64 = d.features[np.ix_(np.append(j, i), np.flatnonzero(mask))]  # row i last
+        hit[i] = knn_classify(x64[:-1], y[j], x64[-1]) == y[i]
+    return float(np.mean(np.bincount(fold_id, weights=hit) / fold_sizes))
 
 
 def _folds(d: Dataset, cfg: WrapperConfig, seed: int) -> tuple[np.ndarray, ...]:
@@ -110,19 +126,12 @@ def _folds(d: Dataset, cfg: WrapperConfig, seed: int) -> tuple[np.ndarray, ...]:
     return fold_id, fold_id[:, None] == fold_id[None, :], np.bincount(fold_id)
 
 
-def _masked_accuracy(d: Dataset, mask: np.ndarray, folds: tuple[np.ndarray, ...]) -> float:
-    if not mask.any():
-        return 0.0  # empty masks score worst instead of erroring
-    # features.T is a C-contiguous (F, n) view, so the gather copies whole rows
-    return _knn_accuracy(np.compress(mask, d.features.T, axis=0), d.labels, *folds)
-
-
 def evaluate_mask(d: Dataset, mask, cfg: WrapperConfig, seed: int = 0) -> float:
     """Protocol accuracy of the feature subset a (F,) bool mask selects; empty masks score 0."""
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (d.n_features,):
         raise ContractError(f"mask must have shape ({d.n_features},), got {mask.shape}")
-    return _masked_accuracy(d, mask, _folds(d, cfg, seed))
+    return _knn_accuracy(d, mask, _folds(d, cfg, seed))
 
 
 def wrapper_objective(d: Dataset, cfg: WrapperConfig, seed: int = 0) -> Objective:
@@ -138,7 +147,7 @@ def wrapper_objective(d: Dataset, cfg: WrapperConfig, seed: int = 0) -> Objectiv
         mask = binarize(position, cfg.threshold)
         if mask.shape != (d.n_features,):
             raise ContractError(f"position must have shape ({d.n_features},), got {mask.shape}")
-        return 1.0 - _masked_accuracy(d, mask, folds)
+        return 1.0 - _knn_accuracy(d, mask, folds)
 
     return objective
 

@@ -133,12 +133,22 @@ def test_r_style_quoted_file_is_read_by_numpy(tmp_path, monkeypatch):
 
 
 def test_quoted_header_spanning_lines_goes_to_the_row_parser(tmp_path):
-    # np.loadtxt's skiprows counts lines, not records, so it refuses the header's second line
+    # np.loadtxt skips the lines the header spans, not its record count
     p = write(tmp_path, 'x,"y\nsecond",label\n1,2,A\n3,4,B\n')
-    with pytest.raises(ValueError):
-        datasets._parse_numbers(p, datasets._read_head(p, "last"))
+    assert datasets._parse_numbers(p, datasets._read_head(p, "last"))[1] == ["A", "B"]
     assert outcome(lambda: load_csv(p)) == outcome(lambda: load_by_rows(p, "last"))
     assert load_csv(p).feature_names == ("x", "y\nsecond")
+
+
+def test_blank_record_spanning_lines_before_a_numeric_header(tmp_path):
+    # a quoted whitespace cell spans two lines, so numpy must skip three lines
+    # for two records, or it reads the header "1,2,label" as a data row
+    p = write(tmp_path, '"\n"\n1,2,label\n1,2,A\n3,4,B\n')
+    d = load_csv(p, "label")
+    assert d.feature_names == ("1", "2")
+    assert d.features.tolist() == [[1, 2], [3, 4]]
+    assert d.labels.tolist() == [0, 1]
+    assert outcome(lambda: load_csv(p, "label")) == outcome(lambda: load_by_rows(p, "label"))
 
 
 @pytest.mark.parametrize(
@@ -314,6 +324,18 @@ def test_normalize_minmax_column_mapping():
 def test_normalize_constant_column_becomes_zero():
     d = normalize_minmax(make_dataset([[7.0, 7.0, 7.0]]))
     assert d.features[:, 0].tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_normalize_matches_the_column_formula_bit_for_bit(order):
+    x = np.random.default_rng(3).normal(size=(9, 6)) * np.array([1, 1e-8, 1e8, 3, 1, 1])
+    x[:, 1], x[:, 4] = 2.5, 0.0  # constant columns
+    d = normalize_minmax(Dataset(np.asarray(x, order=order), np.arange(9) % 2, tuple("abcdef")))
+    lo, span = x.min(axis=0), np.ptp(x, axis=0)
+    want = (x - lo) / np.where(span == 0.0, 1.0, span)
+    want[:, span == 0.0] = 0.0
+    assert d.features.tobytes("C") == want.tobytes("C")
+    assert d.features.flags.f_contiguous
 
 
 def test_normalize_idempotent():

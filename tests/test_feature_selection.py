@@ -15,7 +15,7 @@ from epso import (
     synth_dataset,
 )
 from epso.datasets import Dataset, stratified_folds
-from epso.feature_selection import binarize, knn_classify, wrapper_objective
+from epso.feature_selection import _folds, binarize, knn_classify, wrapper_objective
 
 
 def small_dataset(seed=0, n=24, f=6, informative=2):
@@ -199,6 +199,86 @@ def test_kernel_matches_knn_recount_on_float_kfold():
         for density in (0.002, 0.02, 0.25, 0.5):
             mask = rng.random(600) < density
             assert evaluate_mask(wide, mask, cfg, seed=seed) == knn_recount(wide, mask, cfg, seed)
+
+
+def gram_accuracy(d, mask, cfg, seed, dtype=np.float64):
+    """Mean per-fold 1NN accuracy from one n x n Gram matrix in dtype, with
+    no recheck: the float64 kernel that the mixed-precision one replaced, or
+    a plain float32 cast of it."""
+    x = d.features[:, mask].T.astype(dtype)
+    fold_id, same_fold, fold_sizes = _folds(d, cfg, seed)
+    dist = x.T @ x
+    sq = dist.diagonal().copy()
+    dist *= 2
+    np.subtract(np.add.outer(sq, sq), dist, out=dist)
+    np.maximum(dist, 0, out=dist)
+    np.putmask(dist, same_fold, np.inf)
+    pred = d.labels[np.argmin(dist, axis=1)]
+    return float(np.mean(np.bincount(fold_id, weights=pred == d.labels) / fold_sizes))
+
+
+def test_near_tie_that_float32_gets_wrong_is_rechecked_in_float64():
+    # Row 1 (label 0) is nearer to row 2 than row 0 (label 1) is, but a float32
+    # Gram puts rows 0-2 at distance 0 from each other, and the tie goes to
+    # row 0, the lower index; the float64 Gram is exact here
+    x = np.array([[1 - 2.0**-19], [1 + 2.0**-20], [1.0], [5.0], [6.0]])
+    d = Dataset(x, [1, 0, 0, 1, 1], ("g",), "near_tie")
+    mask, cfg = np.ones(1, dtype=bool), WrapperConfig(protocol="loo")
+    assert knn_recount(d, mask, cfg, 0) == gram_accuracy(d, mask, cfg, 0) == 0.8
+    assert gram_accuracy(d, mask, cfg, 0, np.float32) == 0.4
+    assert evaluate_mask(d, mask, cfg) == 0.8
+
+
+def test_near_tie_in_float32_underflow_is_rechecked_in_float64():
+    # The unselected column sets the float32 copy's scale, so the selected
+    # values (about 2^-73) square into float32's subnormal range, where
+    # rounding is absolute, not relative to the squared norms
+    x = np.zeros((4, 2))
+    x[0, 0] = 0.75
+    x[:, 1] = np.array([2, 1.25, 1.26, 1.07]) * 2.0**-73
+    d = Dataset(x, [0, 1, 0, 1], ("scale", "g"), "subnormal")
+    mask, cfg = np.array([False, True]), WrapperConfig(protocol="loo")
+    assert evaluate_mask(d, mask, cfg) == knn_recount(d, mask, cfg, 0) == 0.5
+
+
+@st.composite
+def wide_scale_cases(draw):
+    """Float features with exact duplicate rows and column scales from 1e-30
+    to 1e30 in one dataset, so float32 rounds, underflows whole columns and
+    ties duplicates, a random mask and a protocol. Magnitudes below 1e-100
+    are drawn as 0: there knn_classify's float64 squares underflow, and its
+    ties are ones the power-of-two scaled kernel does not see."""
+    n_classes = draw(st.integers(2, 3))
+    n = draw(st.integers(2 * n_classes, 20))
+    f = draw(st.integers(1, 6))
+    values = st.floats(-1, 1).map(lambda v: v if abs(v) > 1e-100 else 0.0)
+    pool = draw(arrays(np.float64, (draw(st.integers(1, n)), f), elements=values))
+    rows = draw(arrays(np.intp, n, elements=st.integers(0, pool.shape[0] - 1)))
+    scales = 10.0 ** draw(arrays(np.int64, f, elements=st.integers(-30, 30))).astype(float)
+    labels = np.array(draw(st.permutations(list(np.arange(n) % n_classes))))
+    d = Dataset(pool[rows] * scales, labels, tuple(f"f{i}" for i in range(f)), "wide")
+    mask = draw(arrays(np.bool_, f))
+    protocol = draw(st.sampled_from(["loo", "kfold"]))
+    cfg = WrapperConfig(protocol=protocol, k_folds=draw(st.integers(2, n // n_classes)))
+    return d, mask, cfg, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_scale_cases())
+def test_kernel_matches_knn_recount_across_scales_and_duplicates(case):
+    # gram_accuracy is not the oracle here: its float64 cancellation
+    # disagrees with knn_recount on a few draws in a thousand
+    d, mask, cfg, seed = case
+    assert evaluate_mask(d, mask, cfg, seed=seed) == knn_recount(d, mask, cfg, seed)
+
+
+def test_kernel_matches_float64_gram_at_gene_scale():
+    d = synth_dataset(308, 15010, 20, 26)
+    cfg = WrapperConfig(k_folds=10)
+    rng = np.random.default_rng(3)
+    for density in np.geomspace(0.002, 0.5, 60):
+        mask = rng.random(d.n_features) < density
+        assert evaluate_mask(d, mask, cfg) == gram_accuracy(d, mask, cfg, 0)
 
 
 def test_empty_mask_scores_zero():
