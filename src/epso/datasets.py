@@ -154,14 +154,17 @@ def _read_head(path: Path, label_column: str) -> _Head:
 def _parse_numbers(path: Path, head: _Head) -> tuple[np.ndarray, list[str]]:
     """The data records in one np.loadtxt pass, which reads quoted cells as
     the csv module does: the (n, F) feature-major matrix and the stripped
-    label cells. Raises on anything the C reader refuses, so the caller can
-    fall back to _parse_rows."""
+    label cells. Raises on anything the C reader refuses, and on a label
+    with a line break, which that reader may have translated, so the
+    caller can fall back to _parse_rows."""
     labels: list[str] = []
 
     def label(cell: str) -> float:
         cell = cell.strip()
         if not cell:
             raise ValueError("empty label cell")
+        if "\n" in cell:  # numpy reads a quoted \r\n or \r as \n; the csv module keeps it
+            raise ValueError("line break in a label cell")
         labels.append(cell)
         return 0.0
 
@@ -223,8 +226,9 @@ def load_csv(path, label_column: str = "last") -> Dataset:
     A byte-order mark is skipped. The file is parsed in one np.loadtxt pass,
     which reads quoted cells as the csv module does. Anything that reader
     refuses (empty or unparseable cells, whitespace-only records, ragged rows,
-    or floats only Python's float() reads, such as 1_000) is read again row
-    by row with the csv module, so every accepted value, warning and error
+    or floats only Python's float() reads, such as 1_000), and a file with a
+    line break inside a quoted label, is read again row by row with the csv
+    module, so every accepted value, warning and error
     message is the row parser's.
     """
     path = Path(path)

@@ -5,14 +5,14 @@ under leave-one-out or stratified k-fold evaluation.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
 from .datasets import Dataset, stratified_folds
 from .errors import ConfigError, ContractError, check_field_types
-from .swarm import EpsoConfig, Objective, RunResult, optimize
+from .swarm import EpsoConfig, RunResult, optimize
 
 POSITION_LOW, POSITION_HIGH = -1.0, 1.0
 
@@ -52,7 +52,8 @@ def knn_classify(train_features, train_labels, query, k: int = 1) -> int:
     """Label of the majority among the k nearest training rows.
 
     Distance ties break toward the lower row index; a vote tie goes to the
-    class of the nearest tied-class neighbor.
+    class of the nearest tied-class neighbor. Squared distances do not
+    underflow or overflow, for any features whose differences are finite.
     """
     x = np.asarray(train_features, dtype=float)
     y = np.asarray(train_labels, dtype=int)
@@ -63,8 +64,19 @@ def knn_classify(train_features, train_labels, query, k: int = 1) -> int:
         raise ContractError("query dimension does not match the training features")
     if k < 1:
         raise ContractError("k must be at least 1")
-    dists = np.sum((x - q) ** 2, axis=1)
-    order = np.argsort(dists, kind="stable")[: min(k, x.shape[0])]
+    # each row's differences are scaled by the power of two that brings their
+    # largest magnitude into [0.5, 1), then squared and compared as (binary
+    # exponent, mantissa): the order of the plain float64 sums of squares
+    # wherever those neither underflow nor overflow, and no row's distance
+    # depends on the other rows
+    diff = x - q
+    largest = np.maximum(diff.max(axis=1, initial=0.0), -diff.min(axis=1, initial=0.0))
+    exponent = np.frexp(largest)[1]
+    np.ldexp(diff, -exponent[:, None], out=diff)
+    mantissa, scaled_exponent = np.frexp(np.sum(np.square(diff, out=diff), axis=1))
+    # zero distances first, then by binary exponent, then by mantissa; stable
+    keys = (mantissa, 2 * exponent + scaled_exponent, mantissa > 0)
+    order = np.lexsort(keys)[: min(k, x.shape[0])]
     if k == 1:
         return int(y[order[0]])
     votes = np.bincount(y[order])
@@ -134,22 +146,43 @@ def evaluate_mask(d: Dataset, mask, cfg: WrapperConfig, seed: int = 0) -> float:
     return _knn_accuracy(d, mask, _folds(d, cfg, seed))
 
 
-def wrapper_objective(d: Dataset, cfg: WrapperConfig, seed: int = 0) -> Objective:
+class WrapperObjective:
     """Minimization objective 1 - accuracy over positions in [-1, 1]^F.
 
-    Fold assignments are frozen here, once, so the objective is a pure
-    function of the position for the whole run. A position of any shape
-    other than (F,) is a ContractError.
+    The folds are frozen when it is built, so it is a pure function of the
+    position, and each distinct mask is scored once: a memo maps the exact
+    packed mask (np.packbits(mask).tobytes()) to its value and its scoring
+    seconds. reused_seconds sums the recorded seconds of the values taken
+    from the memo. A position of any shape other than (F,) is a ContractError.
     """
-    folds = _folds(d, cfg, seed)
 
-    def objective(position) -> float:
-        mask = binarize(position, cfg.threshold)
-        if mask.shape != (d.n_features,):
-            raise ContractError(f"position must have shape ({d.n_features},), got {mask.shape}")
-        return 1.0 - _knn_accuracy(d, mask, folds)
+    def __init__(self, d: Dataset, cfg: WrapperConfig, seed: int = 0):
+        start = perf_counter()
+        self.data, self.cfg, self.seed = d, cfg, seed
+        self._fold_args = _folds(d, cfg, seed)
+        self._memo: dict[bytes, tuple[float, float]] = {}
+        self.reused_seconds = 0.0
+        self.build_seconds = perf_counter() - start
 
-    return objective
+    def __call__(self, position) -> float:
+        start = perf_counter()
+        mask = binarize(position, self.cfg.threshold)
+        if mask.shape != (self.data.n_features,):
+            raise ContractError(
+                f"position must have shape ({self.data.n_features},), got {mask.shape}")
+        key = np.packbits(mask).tobytes()
+        if key in self._memo:
+            value, seconds = self._memo[key]
+            self.reused_seconds += seconds
+            return value
+        value = 1.0 - _knn_accuracy(self.data, mask, self._fold_args)
+        self._memo[key] = value, perf_counter() - start
+        return value
+
+
+def wrapper_objective(d: Dataset, cfg: WrapperConfig, seed: int = 0) -> WrapperObjective:
+    """The memoized wrapper objective of (d, cfg, seed); see WrapperObjective."""
+    return WrapperObjective(d, cfg, seed)
 
 
 def position_bounds(n_features: int) -> np.ndarray:
@@ -161,8 +194,16 @@ def select_features(
     epso_config: EpsoConfig,
     wrapper_cfg: WrapperConfig,
     mode: str = "epso",
+    *,
+    objective: WrapperObjective | None = None,
 ) -> FeatureSelectionResult:
-    """Optimize the wrapper objective and report the best mask found."""
+    """Optimize the wrapper objective and report the best mask found.
+
+    objective, if given, must be built for (d, wrapper_cfg, epso_config.seed);
+    runs that share it score each mask once. wall_time charges the run the
+    objective's build and the recorded seconds of every value it took from
+    the memo, so it is the time the run takes alone.
+    """
     if epso_config.dimension != d.n_features:
         raise ConfigError(
             f"config dimension {epso_config.dimension} != dataset features {d.n_features}"
@@ -170,13 +211,19 @@ def select_features(
     expected = position_bounds(d.n_features)
     if not np.array_equal(epso_config.bounds, expected):
         raise ConfigError("feature selection requires bounds of [-1, +1] per feature")
+    if objective is None:
+        objective = wrapper_objective(d, wrapper_cfg, seed=epso_config.seed)
+    elif (objective.data is not d or objective.cfg != wrapper_cfg
+          or objective.seed != epso_config.seed):
+        raise ConfigError("the objective was built for another dataset, config or seed")
 
-    start = time.perf_counter()
-    objective = wrapper_objective(d, wrapper_cfg, seed=epso_config.seed)
+    reused = objective.reused_seconds
+    start = perf_counter()
     run = optimize(epso_config, objective, mode=mode)
+    elapsed = perf_counter() - start
     return FeatureSelectionResult(
         mask=binarize(run.best_position, wrapper_cfg.threshold),
         accuracy=1.0 - run.best_fitness,
-        wall_time=time.perf_counter() - start,
+        wall_time=objective.build_seconds + elapsed + objective.reused_seconds - reused,
         run=run,
     )

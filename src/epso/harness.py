@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import feature_selection
 from .benchmarks import registry
 from .datasets import complexity_index, load_csv, normalize_minmax
 from .errors import ConfigError, ContractError, check_field_types
@@ -163,13 +164,15 @@ class ExperimentReport:
 
 
 def _benchmark_setup(cfg: ExperimentConfig):
-    """The registry function's dimension and bounds, a seeded run giving
-    (RunResult, run record), and the summary row of an algorithm's records."""
+    """The registry function's dimension and bounds, the seeded runs of
+    several algorithms giving one (RunResult, run record) each, and the
+    summary row of an algorithm's records."""
     spec, objective = registry(cfg.function, cfg.dimension, cfg.base_seed)
 
-    def run(ec: EpsoConfig, algo: str):
-        r = optimize(ec, objective, mode=algo)
-        return r, {"seed": r.seed, "best_fitness": r.best_fitness, "time_sec": r.wall_time}
+    def run(ec: EpsoConfig, algos: list[str]):
+        runs = [optimize(ec, objective, mode=algo) for algo in algos]
+        return [(r, {"seed": r.seed, "best_fitness": r.best_fitness, "time_sec": r.wall_time})
+                for r in runs]
 
     def row(algo: str, records: list[dict]) -> dict:
         stats = summarize([r["best_fitness"] for r in records])
@@ -185,10 +188,14 @@ def _selection_setup(cfg: ExperimentConfig):
         data = normalize_minmax(data)
     wrapper_cfg = WrapperConfig(threshold=cfg.threshold, k_folds=cfg.k_folds)
 
-    def run(ec: EpsoConfig, algo: str):
-        r = select_features(data, ec, wrapper_cfg, mode=algo)
-        return r.run, {"seed": ec.seed, "accuracy": r.accuracy, "features": int(r.mask.sum()),
-                       "time_sec": r.wall_time}
+    def run(ec: EpsoConfig, algos: list[str]):
+        # the seed's runs share one objective, so each mask is scored once;
+        # it is dropped on return, so at most one memo is alive
+        objective = feature_selection.wrapper_objective(data, wrapper_cfg, ec.seed)
+        runs = [select_features(data, ec, wrapper_cfg, mode=algo, objective=objective)
+                for algo in algos]
+        return [(r.run, {"seed": ec.seed, "accuracy": r.accuracy, "features": int(r.mask.sum()),
+                         "time_sec": r.wall_time}) for r in runs]
 
     def row(algo: str, records: list[dict]) -> dict:
         # the best run: highest accuracy, then fewest features, then the first
@@ -207,20 +214,20 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute cfg.runs independent seeded runs per algorithm.
 
     PSO and EPSO receive the identical seed sequence base_seed..base_seed+runs-1,
-    so run i of each algorithm starts from the same initial population. Only
-    the setup depends on the task; each row summarizes its algorithm's records.
+    so run i of each algorithm starts from the same initial population. The
+    runs go seed by seed, each seed's algorithms back to back. Only the setup
+    depends on the task; each row summarizes its algorithm's records.
     """
     setup = _benchmark_setup if cfg.task == "benchmark" else _selection_setup
     dimension, bounds, run, row = setup(cfg)
-    rows: list[dict] = []
-    run_records: dict[str, list[dict]] = {}
-    traces: dict[str, list[RunResult]] = {}
-    seeds = range(cfg.base_seed, cfg.base_seed + cfg.runs)
-    for algo in cfg.algorithms():
-        results = [run(cfg.swarm_config(dimension, bounds, seed), algo) for seed in seeds]
-        traces[algo] = [r for r, _ in results]
-        run_records[algo] = [record for _, record in results]
-        rows.append(row(algo, run_records[algo]))
+    algos = cfg.algorithms()
+    results: dict[str, list] = {algo: [] for algo in algos}
+    for seed in range(cfg.base_seed, cfg.base_seed + cfg.runs):
+        for algo, result in zip(algos, run(cfg.swarm_config(dimension, bounds, seed), algos)):
+            results[algo].append(result)
+    traces = {algo: [r for r, _ in results[algo]] for algo in algos}
+    run_records = {algo: [record for _, record in results[algo]] for algo in algos}
+    rows = [row(algo, run_records[algo]) for algo in algos]
 
     config = asdict(cfg)
     config.update(config.pop("swarm"))

@@ -151,6 +151,14 @@ def test_blank_record_spanning_lines_before_a_numeric_header(tmp_path):
     assert outcome(lambda: load_csv(p, "label")) == outcome(lambda: load_by_rows(p, "label"))
 
 
+def test_line_breaks_in_quoted_labels_are_kept_as_written(tmp_path):
+    # numpy reads "A\r\nB" as "A\nB", which would make these two labels one class
+    p = tmp_path / "d.csv"
+    p.write_bytes(b'x,label\n1,"A\r\nB"\n2,"A\nB"\n3,C\n')
+    assert load_csv(p).labels.tolist() == [0, 1, 2]
+    assert outcome(lambda: load_csv(p)) == outcome(lambda: load_by_rows(p, "last"))
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -242,8 +250,9 @@ def csv_files(draw):
     number = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.integers(-9, 9).map(str)
     odd = draw(st.lists(st.sampled_from(["inf", "nan", '"1.5"'] + ROW_PARSER_CELLS), max_size=2))
     cell = st.one_of(number, number.map(" {} ".format), *([st.sampled_from(odd)] if odd else []))
-    # quoted labels: R's write.csv style, a comma, a doubled quote, a newline, empty
-    label = st.sampled_from(["1", "1.0", " A ", "", '"A"', '"A,B"', '"A""B"', '"A\nB"', '""'])
+    # quoted labels: R's write.csv style, a comma, a doubled quote, line breaks, empty
+    label = st.sampled_from(["1", "1.0", " A ", "", '"A"', '"A,B"', '"A""B"', '"A\nB"',
+                             '"A\r\nB"', '"A\rB"', '""'])
 
     records, fast = [], True
     if header:
@@ -269,6 +278,7 @@ def csv_files(draw):
         if kind == "ragged":
             cells.pop()
         fast = (fast and kind == "row" and cells[label_idx] not in ("", '""')
+                and not set(cells[label_idx]) & set("\r\n")  # numpy may translate those
                 and not set(cells) & set(ROW_PARSER_CELLS))
         records.append(",".join(cells))
     fast = fast and any(records[header:])  # at least one data row

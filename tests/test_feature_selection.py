@@ -14,6 +14,7 @@ from epso import (
     select_features,
     synth_dataset,
 )
+from epso import feature_selection
 from epso.datasets import Dataset, stratified_folds
 from epso.feature_selection import _folds, binarize, knn_classify, wrapper_objective
 
@@ -241,18 +242,27 @@ def test_near_tie_in_float32_underflow_is_rechecked_in_float64():
     assert evaluate_mask(d, mask, cfg) == knn_recount(d, mask, cfg, 0) == 0.5
 
 
+@pytest.mark.parametrize("x, labels, want", [
+    # one feature far below 1e-154: its squared distances once underflowed to 0 and tied
+    ([2.456e-302, 0, 0, 0], [0, 1, 1, 0], 0.5),
+    # a range of 1e209 in one training set: 1e-209 is still farther from 0 than 0 is
+    ([1, 1.09384865e-209, 0, 0], [0, 1, 0, 1], 0.0),
+])
+def test_knn_classify_orders_distances_that_underflow_when_squared(x, labels, want):
+    d = Dataset(np.array(x)[:, None], labels, ("g",), "tiny")
+    mask, cfg = np.ones(1, dtype=bool), WrapperConfig(protocol="loo")
+    assert evaluate_mask(d, mask, cfg) == knn_recount(d, mask, cfg, 0) == want
+
+
 @st.composite
 def wide_scale_cases(draw):
     """Float features with exact duplicate rows and column scales from 1e-30
     to 1e30 in one dataset, so float32 rounds, underflows whole columns and
-    ties duplicates, a random mask and a protocol. Magnitudes below 1e-100
-    are drawn as 0: there knn_classify's float64 squares underflow, and its
-    ties are ones the power-of-two scaled kernel does not see."""
+    ties duplicates, a random mask and a protocol."""
     n_classes = draw(st.integers(2, 3))
     n = draw(st.integers(2 * n_classes, 20))
     f = draw(st.integers(1, 6))
-    values = st.floats(-1, 1).map(lambda v: v if abs(v) > 1e-100 else 0.0)
-    pool = draw(arrays(np.float64, (draw(st.integers(1, n)), f), elements=values))
+    pool = draw(arrays(np.float64, (draw(st.integers(1, n)), f), elements=st.floats(-1, 1)))
     rows = draw(arrays(np.intp, n, elements=st.integers(0, pool.shape[0] - 1)))
     scales = 10.0 ** draw(arrays(np.int64, f, elements=st.integers(-30, 30))).astype(float)
     labels = np.array(draw(st.permutations(list(np.arange(n) % n_classes))))
@@ -357,6 +367,81 @@ def test_objective_pure_within_run():
     obj = wrapper_objective(d, WrapperConfig(k_folds=3), seed=1)
     pos = np.full(d.n_features, 0.9)
     assert obj(pos) == obj(pos)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=20), st.integers(0, 2**16))
+def test_shared_memo_objective_returns_what_a_fresh_one_returns(picks, seed):
+    # positions drawn from a small pool, so masks repeat within the sequence;
+    # the pool's masks are two bytes long and differ in a few bits, as a
+    # swarm's steps do, so a key that dropped bits would collide
+    d = small_dataset(seed=seed % 7, n=18, f=12)
+    rng = np.random.default_rng(seed)
+    pool = np.tile(rng.uniform(-1, 1, d.n_features), (6, 1))
+    redraw = rng.random(pool.shape) < 0.3
+    pool[redraw] = rng.uniform(-1, 1, redraw.sum())
+    cfg = WrapperConfig(k_folds=3)
+    shared = wrapper_objective(d, cfg, seed=seed)
+    for i in picks:
+        assert shared(pool[i]) == wrapper_objective(d, cfg, seed=seed)(pool[i])
+
+
+def test_paired_runs_sharing_an_objective_score_each_mask_once(monkeypatch):
+    scored = []  # the packed mask of every kernel call
+    kernel = feature_selection._knn_accuracy
+
+    def counted(d, mask, folds):
+        scored.append(np.packbits(mask).tobytes())
+        return kernel(d, mask, folds)
+
+    monkeypatch.setattr(feature_selection, "_knn_accuracy", counted)
+    d = small_dataset(seed=4, n=30, f=12, informative=3)
+    cfg = WrapperConfig(k_folds=3)
+    ec = make_epso(d, seed=3, population_size=6, max_iterations=8)
+    alone = [select_features(d, ec, cfg, mode=m) for m in ("pso", "epso")]
+    each_run = list(scored)  # each run's distinct masks
+    scored.clear()
+    objective = wrapper_objective(d, cfg, seed=3)
+    paired = [select_features(d, ec, cfg, mode=m, objective=objective) for m in ("pso", "epso")]
+    assert len(set(each_run)) < len(each_run)  # the two runs have masks in common
+    assert sorted(scored) == sorted(set(each_run))  # each scored once, and nothing else
+    for a, b in zip(alone, paired):
+        assert np.array_equal(a.mask, b.mask) and a.accuracy == b.accuracy
+        assert a.run.trace == b.run.trace
+
+
+def test_wall_time_charges_the_scoring_seconds_of_memo_hits(monkeypatch):
+    # a fake clock that only the kernel moves, by one second per call: a run
+    # that scored every mask itself would take P (T + 1) seconds
+    clock = [0.0]
+    kernel = feature_selection._knn_accuracy
+
+    def one_second(d, mask, folds):
+        clock[0] += 1.0
+        return kernel(d, mask, folds)
+
+    monkeypatch.setattr(feature_selection, "perf_counter", lambda: clock[0])
+    monkeypatch.setattr(feature_selection, "_knn_accuracy", one_second)
+    d = small_dataset(seed=4, n=30, f=12, informative=3)
+    cfg = WrapperConfig(k_folds=3)
+    ec = make_epso(d, seed=3, population_size=6, max_iterations=8)
+    objective = wrapper_objective(d, cfg, seed=3)
+    for mode in ("pso", "epso", "epso"):
+        assert select_features(d, ec, cfg, mode=mode, objective=objective).wall_time == 6 * 9
+    assert clock[0] < 2 * 6 * 9  # the second EPSO run, at least, scored nothing
+
+
+def test_select_features_refuses_an_objective_built_for_another_run():
+    d = small_dataset(seed=3)
+    cfg = WrapperConfig(protocol="loo")
+    objective = wrapper_objective(d, cfg, seed=5)
+    assert select_features(d, make_epso(d, seed=5), cfg, objective=objective).accuracy > 0
+    copy = Dataset(d.features, d.labels, d.feature_names, d.name)
+    for other in (wrapper_objective(copy, cfg, seed=5),
+                  wrapper_objective(d, WrapperConfig(protocol="loo", threshold=0.4), seed=5),
+                  wrapper_objective(d, cfg, seed=6)):
+        with pytest.raises(ConfigError, match="another dataset, config or seed"):
+            select_features(d, make_epso(d, seed=5), cfg, objective=other)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import csv
+import gc
 import json
 import math
 import re
 import tempfile
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -307,6 +309,48 @@ def test_cli_select_end_to_end(tmp_path, capsys):
     assert "accuracy=" in capsys.readouterr().out
 
 
+def test_cli_select_both_reports_the_runs_of_each_algorithm_alone(tmp_path, capsys):
+    # the shared objective changes no record but time_sec
+    save_csv(synth_dataset(30, 16, 3, class_count=3, seed=4), tmp_path / "d.csv")
+    argv = ["select", "--data", str(tmp_path / "d.csv"), "--runs", "3", "--population", "6",
+            "--iterations", "6", "--folds", "3", "--seed", "7"]
+    runs = {}
+    for algo in ("both", "pso", "epso"):
+        assert main(argv + ["--algo", algo, "--out", str(tmp_path / algo)]) == 0
+        for name, records in json.loads((tmp_path / algo / "report.json").read_text())["runs"].items():
+            runs[algo, name] = [{k: v for k, v in r.items() if k != "time_sec"} for r in records]
+    capsys.readouterr()
+    assert [r["seed"] for r in runs["both", "pso"]] == [7, 8, 9]
+    assert runs["both", "pso"] == runs["pso", "pso"]
+    assert runs["both", "epso"] == runs["epso", "epso"]
+
+
+def test_selection_objective_is_freed_after_each_seed(tmp_path, monkeypatch):
+    # without the cyclic collector: the objective must not sit in a reference
+    # cycle, and only the current seed's objective is alive
+    save_csv(synth_dataset(20, 6, 2, seed=1), tmp_path / "d.csv")
+    cfg = build_config("feature-selection", {"data_path": str(tmp_path / "d.csv"), "runs": 3,
+                                             "population_size": 4, "max_iterations": 3,
+                                             "k_folds": 2})
+    refs = []
+    build = feature_selection.wrapper_objective
+
+    def tracked(*args, **kwargs):
+        assert all(ref() is None for ref in refs)
+        objective = build(*args, **kwargs)
+        refs.append(weakref.ref(objective))
+        return objective
+
+    monkeypatch.setattr(feature_selection, "wrapper_objective", tracked)
+    gc.disable()
+    try:
+        report = run_experiment(cfg)
+        assert len(refs) == 3 and all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+    assert len(report.runs["pso"]) == len(report.runs["epso"]) == 3
+
+
 def test_cli_config_file_with_flag_override(tmp_path, capsys):
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({
@@ -382,8 +426,9 @@ def test_cli_select_calls_each_layer_by_its_module_name(tmp_path, capsys, monkey
         counting(module, name)
     assert main(argv + [str(tmp_path / "patched")]) == 0
     capsys.readouterr()
-    assert calls == {"load_csv": 1, "normalize_minmax": 1, "stratified_folds": 4,
-                     "wrapper_objective": 4, "optimize": 4}  # 2 runs of each algorithm
+    # 2 runs of each algorithm; a seed's PSO and EPSO runs share one objective
+    assert calls == {"load_csv": 1, "normalize_minmax": 1, "stratified_folds": 2,
+                     "wrapper_objective": 2, "optimize": 4}
     for name in ("report.csv", "report.json"):
         assert masked(tmp_path / "patched" / name) == masked(tmp_path / "plain" / name)
 
