@@ -53,7 +53,7 @@ def knn_classify(train_features, train_labels, query, k: int = 1) -> int:
 
     Distance ties break toward the lower row index; a vote tie goes to the
     class of the nearest tied-class neighbor. Squared distances do not
-    underflow or overflow, for any features whose differences are finite.
+    underflow or overflow, for any finite features.
     """
     x = np.asarray(train_features, dtype=float)
     y = np.asarray(train_labels, dtype=int)
@@ -68,7 +68,10 @@ def knn_classify(train_features, train_labels, query, k: int = 1) -> int:
     # largest magnitude into [0.5, 1), then squared and compared as (binary
     # exponent, mantissa): the order of the plain float64 sums of squares
     # wherever those neither underflow nor overflow, and no row's distance
-    # depends on the other rows
+    # depends on the other rows. From 2^1022 up a difference can overflow, so
+    # both operands are halved first, which rounds only subnormal values.
+    if max(np.abs(x).max(initial=0.0), np.abs(q).max(initial=0.0)) >= 2.0**1022:
+        x, q = x / 2, q / 2
     diff = x - q
     largest = np.maximum(diff.max(axis=1, initial=0.0), -diff.min(axis=1, initial=0.0))
     exponent = np.frexp(largest)[1]

@@ -1,6 +1,11 @@
+import contextlib
+import os
+import signal
 import tempfile
+import threading
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -282,7 +287,7 @@ def csv_files(draw):
                 and not set(cells) & set(ROW_PARSER_CELLS))
         records.append(",".join(cells))
     fast = fast and any(records[header:])  # at least one data row
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = newline.join(records) + draw(st.sampled_from(["", newline]))
     return draw(st.sampled_from(["", "\ufeff"])) + text, label_column, fast
 
@@ -305,6 +310,20 @@ def load_by_rows(path, label_column):
     return datasets._dataset(path, head, *datasets._parse_rows(path, head))
 
 
+@contextlib.contextmanager
+def split(floor=4, cpus=3):
+    """load_csv with the range floor and the usable CPU count patched, so
+    that small files are cut into up to cpus ranges."""
+    with mock.patch.object(datasets, "_RANGE_FLOOR", floor), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))):
+        yield
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @settings(max_examples=300, deadline=None)
 @given(csv_files())
 def test_property_fast_path_matches_the_row_parser(case):
@@ -314,7 +333,169 @@ def test_property_fast_path_matches_the_row_parser(case):
         p.write_bytes(text.encode("utf-8"))
         if fast:
             datasets._parse_numbers(p, datasets._read_head(p, label_column))  # must not raise
-        assert outcome(lambda: load_csv(p, label_column)) == outcome(lambda: load_by_rows(p, label_column))
+        one_range = outcome(lambda: load_csv(p, label_column))
+        assert one_range == outcome(lambda: load_by_rows(p, label_column))
+        with split():
+            assert outcome(lambda: load_csv(p, label_column)) == one_range
+        assert_no_child_left()
+
+
+def wide_csv(tmp_path, n=12, f=40, last_label="B", name="wide.csv"):
+    """A headed n x f CSV of distinct floats with labels A and B."""
+    rows = [",".join([f"g{j}" for j in range(f)] + ["label"])]
+    for i in range(n):
+        rows.append(",".join([repr((i * f + j) / 7) for j in range(f)] + ["AB"[i % 2]]))
+    rows[-1] = rows[-1].rsplit(",", 1)[0] + "," + last_label
+    return write(tmp_path, "\n".join(rows) + "\n", name)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids os.fork returned to this process."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+@pytest.fixture
+def row_parser_calls(monkeypatch):
+    calls, parse_rows = [], datasets._parse_rows
+
+    def counted(*args):
+        calls.append(args)
+        return parse_rows(*args)
+
+    monkeypatch.setattr(datasets, "_parse_rows", counted)
+    return calls
+
+
+def test_split_parse_is_bit_identical_to_one_pass(tmp_path, forks, row_parser_calls):
+    d = synth_dataset(40, 700, 5, class_count=3, seed=4)
+    p = tmp_path / "big.csv"
+    save_csv(d, p)  # about 0.5 MB
+    head = datasets._read_head(p, "last")
+    with split(floor=100_000, cpus=4), open(p, "rb") as fh:
+        ranges = datasets._data_ranges(fh.fileno(), p.stat().st_size, head)
+    text = p.read_bytes()
+    assert len(ranges) == 4 and ranges[-1][1] == len(text)
+    for (start, end), (after, _) in zip(ranges, ranges[1:]):
+        assert start < end == after and text[end - 1:end] == b"\n"
+    want = outcome(lambda: load_csv(p))
+    with split(floor=100_000, cpus=4):
+        assert outcome(lambda: load_csv(p)) == want
+    assert len(forks) == 3 and not row_parser_calls
+    assert want[0][1] == d.features.tobytes() and not want[1]
+    assert_no_child_left()
+
+
+def test_byte_order_mark_at_a_range_start_is_not_skipped(tmp_path, forks):
+    # only the first bytes of the file may be a byte-order mark
+    p = wide_csv(tmp_path)
+    with split(), open(p, "rb") as fh:
+        cut = datasets._data_ranges(fh.fileno(), p.stat().st_size, datasets._read_head(p, "last"))[1][0]
+    text = p.read_bytes()
+    p.write_bytes(text[:cut] + "\ufeff".encode() + text[cut:])
+    want = outcome(lambda: load_csv(p))
+    assert want[0][0] == "DataError" and "cannot parse '\\ufeff28." in want[0][1]
+    with split():
+        assert outcome(lambda: load_csv(p)) == want
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_quote_in_the_last_range_is_read_by_numpy_in_one_range(tmp_path, monkeypatch, forks):
+    p = wide_csv(tmp_path, last_label='"B, b"')
+
+    def refuse(*args):
+        raise AssertionError("the row parser was reached")
+
+    monkeypatch.setattr(datasets, "_parse_rows", refuse)
+    with split():
+        d = load_csv(p)
+    assert not forks
+    assert d.labels.tolist() == [0, 1] * 5 + [0, 2]
+    assert d.features[-1, -1] == (12 * 40 - 1) / 7
+    assert_no_child_left()
+
+
+def test_unparseable_cell_in_a_child_range_gives_the_row_parser_message(tmp_path, forks,
+                                                                        row_parser_calls):
+    p = wide_csv(tmp_path)
+    p.write_text(p.read_text().replace(repr(460 / 7), "oops"), encoding="utf-8")  # row 12
+    with split(), pytest.raises(DataError) as exc:
+        load_csv(p)
+    assert str(exc.value) == "row 13, column 'g20': cannot parse 'oops' as a number"
+    assert len(forks) == 2 and len(row_parser_calls) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("failure", ["exit status 3", "killed after sending", "killed before sending"])
+def test_a_failed_child_makes_load_csv_fall_back(tmp_path, monkeypatch, forks, row_parser_calls,
+                                                 failure):
+    p = wide_csv(tmp_path)
+    want = outcome(lambda: load_csv(p))
+    parent, exit_now, parse_range = os.getpid(), os._exit, datasets._parse_range
+    if failure == "exit status 3":
+        monkeypatch.setattr(os, "_exit", lambda code: exit_now(3))
+    elif failure == "killed after sending":
+        monkeypatch.setattr(os, "_exit", lambda code: os.kill(os.getpid(), signal.SIGKILL))
+    else:
+        def die_in_a_child(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return parse_range(*args)
+
+        monkeypatch.setattr(datasets, "_parse_range", die_in_a_child)
+    with split():
+        assert outcome(lambda: load_csv(p)) == want
+    assert len(forks) == 2 and len(row_parser_calls) == 1
+    assert_no_child_left()
+
+
+def test_keyboard_interrupt_in_the_parent_reaps_every_child(tmp_path, monkeypatch, forks):
+    p = wide_csv(tmp_path)
+    parent, parse_range = os.getpid(), datasets._parse_range
+
+    def interrupt_the_parent(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return parse_range(*args)
+
+    monkeypatch.setattr(datasets, "_parse_range", interrupt_the_parent)
+    with split(), pytest.raises(KeyboardInterrupt):
+        load_csv(p)
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("case", ["one CPU", "another thread", "no sched_getaffinity",
+                                  "lone CR in the header"])
+def test_no_split(tmp_path, monkeypatch, forks, case):
+    p = wide_csv(tmp_path)
+    want = outcome(lambda: load_csv(p))
+    cpus, stop = 3, threading.Event()
+    if case == "one CPU":
+        cpus = 1
+    elif case == "another thread":
+        threading.Thread(target=stop.wait).start()
+    elif case == "lone CR in the header":
+        p.write_bytes(b"\r" + p.read_bytes())  # a blank line, which numpy skips as one
+        assert outcome(lambda: load_csv(p)) == want
+    try:
+        with split(cpus=cpus):
+            if case == "no sched_getaffinity":
+                monkeypatch.delattr(os, "sched_getaffinity")
+            assert outcome(lambda: load_csv(p)) == want
+    finally:
+        stop.set()
+    assert not forks
+    assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -252,6 +254,19 @@ def test_knn_classify_orders_distances_that_underflow_when_squared(x, labels, wa
     d = Dataset(np.array(x)[:, None], labels, ("g",), "tiny")
     mask, cfg = np.ones(1, dtype=bool), WrapperConfig(protocol="loo")
     assert evaluate_mask(d, mask, cfg) == knn_recount(d, mask, cfg, 0) == want
+
+
+def test_knn_classify_orders_differences_that_overflow():
+    # -1.5e308 - 1.5e308 overflows to inf unless both are halved first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning either
+        assert knn_classify([[1.5e308], [0.0]], [0, 1], [-1.5e308]) == 1
+        assert knn_classify([[0.0], [-1.7e308]], [0, 1], [1.7e308]) == 0
+        # unnormalized, row 0's two neighbors tie in float32, so the kernel asks knn_classify
+        d = Dataset(np.array([[-1.5e308], [1.5e308], [1.5e308 * (1 - 2.0**-30)]]), [0, 1, 0],
+                    ("g",), "huge")
+        mask, cfg = np.ones(1, dtype=bool), WrapperConfig(protocol="loo")
+        assert evaluate_mask(d, mask, cfg) == knn_recount(d, mask, cfg, 0) == 1 / 3
 
 
 @st.composite
