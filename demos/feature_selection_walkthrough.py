@@ -31,7 +31,7 @@ def main():
     print(f"{data.n_samples} samples, {data.n_features} features, "
           f"{data.n_classes} classes")
 
-    wrapper = WrapperConfig(protocol="kfold", k_folds=10)
+    wrapper = WrapperConfig(k_folds=10)
     baseline = evaluate_mask(data, np.ones(N_FEATURES, dtype=bool), wrapper)
     print(f"\nall-features 1NN accuracy (10-fold): {baseline:.4f}")
 

@@ -12,7 +12,9 @@ failures.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from pathlib import Path
 
 from .benchmarks import available_functions
 from .errors import ConfigError, ContractError, DataError, EvaluationError, UnknownFunctionError
@@ -64,6 +66,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out_dir(out_dir: str) -> None:
+    """Refuse, before any run, an output directory whose nearest existing
+    ancestor (or itself) is not a writable directory."""
+    path = Path(out_dir)
+    ancestor = next(p for p in (path, *path.parents) if os.path.exists(p))
+    if not (os.path.isdir(ancestor) and os.access(ancestor, os.W_OK | os.X_OK)):
+        raise ConfigError(f"out_dir {out_dir!r}: {ancestor} is not a writable directory")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     task = "benchmark" if args.command == "bench" else "feature-selection"
@@ -74,10 +85,15 @@ def main(argv=None) -> int:
             cfg = parse_config(args.config, task, overrides)
         else:
             cfg = build_config(task, overrides)
+        _check_out_dir(cfg.out_dir)
         report = run_experiment(cfg)
-        paths = emit_report(report, cfg.out_dir)
-        if cfg.emit_traces:
-            paths += emit_traces(report, cfg.out_dir)
+        try:
+            paths = emit_report(report, cfg.out_dir)
+            if cfg.emit_traces:
+                paths += emit_traces(report, cfg.out_dir)
+        except OSError as exc:
+            print(f"error: cannot write the reports: {exc}", file=sys.stderr)
+            return 1
         for row in report.rows:
             print(", ".join(f"{k}={v}" for k, v in row.items()))
         for p in paths:

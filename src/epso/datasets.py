@@ -445,8 +445,16 @@ def save_csv(d: Dataset, path) -> None:
 def normalize_minmax(d: Dataset) -> Dataset:
     """Map every feature column linearly to [0, 1]; constant columns become 0."""
     xt = d.features.T  # C-contiguous (F, n): each feature is one row
-    lo = xt.min(axis=1, keepdims=True)
-    span = xt.max(axis=1, keepdims=True) - lo
+    lo, hi = xt.min(axis=1, keepdims=True), xt.max(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        span = hi - lo
+    huge = np.isinf(span)
+    if huge.any():
+        # a span past the float64 range: those columns are halved first, which
+        # rounds only subnormal values; the others are multiplied by 1, exactly
+        half = np.where(huge, 0.5, 1.0)
+        xt, lo = xt * half, lo * half
+        span = hi * half - lo
     scaled = np.subtract(xt, lo)
     scaled /= np.where(span == 0.0, 1.0, span)
     scaled[span[:, 0] == 0.0] = 0.0

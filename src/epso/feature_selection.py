@@ -1,6 +1,6 @@
 """Wrapper feature selection: continuous positions in [-1, 1]^F are
 thresholded into feature masks and scored by a 1-nearest-neighbor objective
-under leave-one-out or stratified k-fold evaluation.
+under stratified k-fold evaluation.
 """
 
 from __future__ import annotations
@@ -22,16 +22,13 @@ class WrapperConfig:
     """How candidate masks are scored."""
 
     threshold: float = 0.5
-    protocol: str = "kfold"  # "kfold" or "loo"
     k_folds: int = 10
 
     def __post_init__(self):
         check_field_types(self)
         if not (POSITION_LOW < self.threshold < POSITION_HIGH):
             raise ConfigError("threshold must lie strictly inside [-1, +1]")
-        if self.protocol not in ("kfold", "loo"):
-            raise ConfigError("protocol must be 'kfold' or 'loo'")
-        if self.protocol == "kfold" and self.k_folds < 2:
+        if self.k_folds < 2:
             raise ConfigError("k_folds must be at least 2")
 
 
@@ -49,10 +46,9 @@ def binarize(position, threshold: float) -> np.ndarray:
 
 
 def knn_classify(train_features, train_labels, query, k: int = 1) -> int:
-    """Label of the majority among the k nearest training rows.
+    """Label of the nearest training row; k must be 1.
 
-    Distance ties break toward the lower row index; a vote tie goes to the
-    class of the nearest tied-class neighbor. Squared distances do not
+    Distance ties break toward the lower row index. Squared distances do not
     underflow or overflow, for any finite features.
     """
     x = np.asarray(train_features, dtype=float)
@@ -62,8 +58,8 @@ def knn_classify(train_features, train_labels, query, k: int = 1) -> int:
         raise ContractError("training set is empty")
     if x.shape[1] != q.size:
         raise ContractError("query dimension does not match the training features")
-    if k < 1:
-        raise ContractError("k must be at least 1")
+    if k != 1:
+        raise ContractError(f"k must be 1 (the nearest neighbor decides), got {k}")
     # each row's differences are scaled by the power of two that brings their
     # largest magnitude into [0.5, 1), then squared and compared as (binary
     # exponent, mantissa): the order of the plain float64 sums of squares
@@ -79,15 +75,7 @@ def knn_classify(train_features, train_labels, query, k: int = 1) -> int:
     mantissa, scaled_exponent = np.frexp(np.sum(np.square(diff, out=diff), axis=1))
     # zero distances first, then by binary exponent, then by mantissa; stable
     keys = (mantissa, 2 * exponent + scaled_exponent, mantissa > 0)
-    order = np.lexsort(keys)[: min(k, x.shape[0])]
-    if k == 1:
-        return int(y[order[0]])
-    votes = np.bincount(y[order])
-    top = np.flatnonzero(votes == votes.max())
-    for idx in order:  # earliest neighbor among the tied classes decides
-        if y[idx] in top:
-            return int(y[idx])
-    return int(y[order[0]])
+    return int(y[np.lexsort(keys)[0]])
 
 
 def _knn_accuracy(d: Dataset, mask: np.ndarray, folds: tuple[np.ndarray, ...]) -> float:
@@ -132,17 +120,17 @@ def _knn_accuracy(d: Dataset, mask: np.ndarray, folds: tuple[np.ndarray, ...]) -
 
 
 def _folds(d: Dataset, cfg: WrapperConfig, seed: int) -> tuple[np.ndarray, ...]:
-    """_knn_accuracy's fold arguments, built once per objective: the fold index
-    of every row, the n x n same-fold mask and the fold sizes."""
-    fold_id = np.arange(d.n_samples)  # leave-one-out: each row is its own fold
-    if cfg.protocol == "kfold":
-        for f, fold in enumerate(stratified_folds(d, cfg.k_folds, seed)):
-            fold_id[fold] = f
+    """_knn_accuracy's fold arguments, built once per objective: the stratified
+    fold index of every row, the n x n same-fold mask and the fold sizes."""
+    fold_id = np.empty(d.n_samples, dtype=np.intp)
+    for f, fold in enumerate(stratified_folds(d, cfg.k_folds, seed)):
+        fold_id[fold] = f
     return fold_id, fold_id[:, None] == fold_id[None, :], np.bincount(fold_id)
 
 
 def evaluate_mask(d: Dataset, mask, cfg: WrapperConfig, seed: int = 0) -> float:
-    """Protocol accuracy of the feature subset a (F,) bool mask selects; empty masks score 0."""
+    """Mean stratified k-fold 1NN accuracy of the feature subset a (F,) bool mask
+    selects, on the folds of seed; empty masks score 0."""
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (d.n_features,):
         raise ContractError(f"mask must have shape ({d.n_features},), got {mask.shape}")

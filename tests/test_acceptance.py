@@ -36,7 +36,7 @@ from epso.benchmarks import (
     schwefel,
 )
 from epso.datasets import cfo_index, save_csv
-from epso.feature_selection import binarize, knn_classify
+from epso.feature_selection import _knn_accuracy, binarize, knn_classify
 from epso.swarm import assign_groups, init_swarm, step
 from epso.cli import main
 
@@ -179,7 +179,8 @@ def test_acceptance_06_nearest_neighbor_oracle():
                 for j in range(n) if j != i
             ]
             hits += y[min(dd)[1]] == y[i]
-        got = evaluate_mask(d, mask, WrapperConfig(protocol="loo"))
+        loo_folds = np.arange(n), np.eye(n, dtype=bool), np.ones(n, dtype=np.intp)
+        got = _knn_accuracy(d, mask, loo_folds)  # each row is its own fold
         assert got == hits / n  # exact
     report("nearest neighbor oracle: 20 random datasets agree exactly with brute force")
 
@@ -189,7 +190,7 @@ def test_acceptance_07_feature_selection_competence():
     """Best-of-30-runs mask beats the all-features baseline with <= half the features."""
     from epso import normalize_minmax
     d = normalize_minmax(synth_dataset(200, 500, 10, seed=42))
-    wrapper = WrapperConfig(protocol="kfold", k_folds=10)
+    wrapper = WrapperConfig(k_folds=10)
     baseline = evaluate_mask(
         d, np.ones(500, dtype=bool), wrapper, seed=0
     )

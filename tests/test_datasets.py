@@ -529,6 +529,17 @@ def test_normalize_matches_the_column_formula_bit_for_bit(order):
     assert d.features.flags.f_contiguous
 
 
+def test_normalize_halves_only_a_column_whose_span_overflows():
+    # 1e308 - -1e308 overflows to inf; halved first, the column maps into [0, 1]
+    x = np.column_stack([[1e308, -1e308, 0.0, 1e308], [0.0, 5.0, 10.0, 2.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or invalid-value warning
+        d = normalize_minmax(Dataset(x, [0, 1, 0, 1], ("x", "y")))
+    assert d.features[:, 0].tolist() == [1.0, 0.0, 0.5, 1.0]
+    alone = normalize_minmax(Dataset(x[:, 1:], [0, 1, 0, 1], ("y",)))
+    assert d.features[:, 1].tobytes() == alone.features[:, 0].tobytes()
+
+
 def test_normalize_idempotent():
     d = normalize_minmax(make_dataset([[1.0, 4.0, 9.0], [2.0, 2.0, 8.0]]))
     d2 = normalize_minmax(d)

@@ -18,7 +18,7 @@ from epso import (
 )
 from epso import feature_selection
 from epso.datasets import Dataset, stratified_folds
-from epso.feature_selection import _folds, binarize, knn_classify, wrapper_objective
+from epso.feature_selection import _folds, _knn_accuracy, binarize, knn_classify, wrapper_objective
 
 
 def small_dataset(seed=0, n=24, f=6, informative=2):
@@ -69,31 +69,30 @@ def test_knn_distance_tie_prefers_lower_index():
     assert knn_classify(x, y, [0.0]) == 7
 
 
-def test_knn_vote_tie_goes_to_nearest_tied_class():
-    x = np.array([[1.0], [2.0], [3.0], [4.0]])
-    y = np.array([0, 1, 1, 0])
-    # k=4: two votes each; nearest neighbor overall has class 0
-    assert knn_classify(x, y, [0.0], k=4) == 0
-
-
-def test_knn_majority_vote():
-    x = np.array([[1.0], [2.0], [3.0]])
-    y = np.array([1, 0, 0])
-    assert knn_classify(x, y, [0.0], k=3) == 0
-
-
 def test_knn_validation():
     with pytest.raises(ContractError):
         knn_classify(np.empty((0, 2)), np.empty(0, dtype=int), [0.0, 0.0])
     with pytest.raises(ContractError):
         knn_classify(np.ones((2, 2)), [0, 1], [0.0])
-    with pytest.raises(ContractError):
-        knn_classify(np.ones((2, 2)), [0, 1], [0.0, 0.0], k=0)
+    assert knn_classify(np.ones((2, 2)), [0, 1], [0.0, 0.0], 1) == 0
+    for k in (0, 2):
+        with pytest.raises(ContractError, match=f"k must be 1 .*, got {k}"):
+            knn_classify(np.ones((2, 2)), [0, 1], [0.0, 0.0], k=k)
 
 
 # ---------------------------------------------------------------------------
 # mask evaluation
 # ---------------------------------------------------------------------------
+
+def loo_folds(n):
+    """_knn_accuracy's fold arguments for leave-one-out: each row is its own fold."""
+    return np.arange(n), np.eye(n, dtype=bool), np.ones(n, dtype=np.intp)
+
+
+def loo_accuracy(d, mask):
+    """The kernel's leave-one-out 1NN accuracy of a (F,) bool mask."""
+    return _knn_accuracy(d, np.asarray(mask, dtype=bool), loo_folds(d.n_samples))
+
 
 def brute_force_loo(x, y):
     n = len(y)
@@ -117,8 +116,7 @@ def test_loo_accuracy_matches_brute_force():
         mask = rng.random(4) > 0.3
         if not mask.any():
             continue
-        cfg = WrapperConfig(protocol="loo")
-        got = evaluate_mask(d, mask, cfg)
+        got = loo_accuracy(d, mask)
         want = brute_force_loo(d.features[:, mask], d.labels)
         assert got == pytest.approx(want)
 
@@ -126,7 +124,7 @@ def test_loo_accuracy_matches_brute_force():
 def test_kfold_accuracy_matches_per_fold_brute_force():
     d = small_dataset(seed=2, n=20, f=5)
     mask = np.array([True, False, True, True, False])
-    cfg = WrapperConfig(protocol="kfold", k_folds=4)
+    cfg = WrapperConfig(k_folds=4)
     got = evaluate_mask(d, mask, cfg, seed=3)
 
     x = d.features[:, mask]
@@ -142,16 +140,13 @@ def test_kfold_accuracy_matches_per_fold_brute_force():
     assert got == pytest.approx(float(np.mean(accs)))
 
 
-def knn_recount(d, mask, cfg, seed):
-    """Mean per-fold accuracy, recounted query by query with knn_classify."""
+def knn_recount(d, mask, folds):
+    """Mean per-fold accuracy over a list of row-index folds, recounted query
+    by query with knn_classify."""
     if not mask.any():
         return 0.0
     x = d.features[:, mask]
     y = d.labels
-    if cfg.protocol == "loo":
-        folds = [np.array([i]) for i in range(d.n_samples)]
-    else:
-        folds = stratified_folds(d, cfg.k_folds, seed)
     accs = []
     for fold in folds:
         train = np.setdiff1d(np.arange(d.n_samples), fold)
@@ -162,10 +157,27 @@ def knn_recount(d, mask, cfg, seed):
     return float(np.mean(accs))
 
 
+def loo_recount(d, mask):
+    return knn_recount(d, mask, [np.array([i]) for i in range(d.n_samples)])
+
+
+def kfold_recount(d, mask, cfg, seed):
+    return knn_recount(d, mask, stratified_folds(d, cfg.k_folds, seed))
+
+
+def kernel_and_recount(d, mask, k_folds, seed):
+    """The kernel's accuracy and knn_recount's, on leave-one-out folds when
+    k_folds is None and on the seed's stratified folds otherwise."""
+    if k_folds is None:
+        return loo_accuracy(d, mask), loo_recount(d, mask)
+    cfg = WrapperConfig(k_folds=k_folds)
+    return evaluate_mask(d, mask, cfg, seed=seed), kfold_recount(d, mask, cfg, seed)
+
+
 @st.composite
 def tie_heavy_cases(draw):
     """Small integer features (so distances are exact and often tied), a
-    random mask, and a protocol."""
+    random mask, and a partition: leave-one-out (k_folds None) or k folds."""
     n_classes = draw(st.integers(2, 4))
     n = draw(st.integers(2 * n_classes, 24))
     f = draw(st.integers(1, 6))
@@ -173,43 +185,42 @@ def tie_heavy_cases(draw):
     labels = np.array(draw(st.permutations(list(np.arange(n) % n_classes))))
     d = Dataset(x, labels, tuple(f"f{i}" for i in range(f)), "ties")
     mask = draw(arrays(np.bool_, f))
-    protocol = draw(st.sampled_from(["loo", "kfold"]))
-    k_folds = draw(st.integers(2, n // n_classes))  # never more than the smallest class
-    cfg = WrapperConfig(protocol=protocol, k_folds=k_folds)
-    return d, mask, cfg, draw(st.integers(0, 2**16))
+    # never more folds than the smallest class
+    k_folds = draw(st.none() | st.integers(2, n // n_classes))
+    return d, mask, k_folds, draw(st.integers(0, 2**16))
 
 
 @settings(max_examples=300, deadline=None)
 @given(tie_heavy_cases())
 def test_kernel_matches_knn_recount_with_ties(case):
-    d, mask, cfg, seed = case
-    assert evaluate_mask(d, mask, cfg, seed=seed) == knn_recount(d, mask, cfg, seed)
+    got, want = kernel_and_recount(*case)
+    assert got == want
 
 
 def test_kernel_matches_knn_recount_on_float_kfold():
     synth = synth_dataset(60, 200, 5, class_count=3, seed=8)
-    cfg = WrapperConfig(protocol="kfold", k_folds=5)
+    cfg = WrapperConfig(k_folds=5)
     for order in ("C", "F"):  # the Dataset's layout must not depend on its source's
         d = Dataset(np.asarray(synth.features, order=order), synth.labels, synth.feature_names, "t")
         rng = np.random.default_rng(1)
         for density in (0.05, 0.3, 0.9):
             mask = rng.random(200) < density
-            assert evaluate_mask(d, mask, cfg, seed=4) == knn_recount(d, mask, cfg, 4)
+            assert evaluate_mask(d, mask, cfg, seed=4) == kfold_recount(d, mask, cfg, 4)
     # many more features than samples, as in gene selection
     wide = synth_dataset(40, 600, 5, class_count=3, seed=9)
     rng = np.random.default_rng(2)
     for seed in (0, 1, 2):
         for density in (0.002, 0.02, 0.25, 0.5):
             mask = rng.random(600) < density
-            assert evaluate_mask(wide, mask, cfg, seed=seed) == knn_recount(wide, mask, cfg, seed)
+            assert evaluate_mask(wide, mask, cfg, seed=seed) == kfold_recount(wide, mask, cfg, seed)
 
 
-def gram_accuracy(d, mask, cfg, seed, dtype=np.float64):
-    """Mean per-fold 1NN accuracy from one n x n Gram matrix in dtype, with
-    no recheck: the float64 kernel that the mixed-precision one replaced, or
-    a plain float32 cast of it."""
+def gram_accuracy(d, mask, folds, dtype=np.float64):
+    """Mean per-fold 1NN accuracy on _knn_accuracy's fold arguments from one
+    n x n Gram matrix in dtype, with no recheck: the float64 kernel that the
+    mixed-precision one replaced, or a plain float32 cast of it."""
     x = d.features[:, mask].T.astype(dtype)
-    fold_id, same_fold, fold_sizes = _folds(d, cfg, seed)
+    fold_id, same_fold, fold_sizes = folds
     dist = x.T @ x
     sq = dist.diagonal().copy()
     dist *= 2
@@ -226,10 +237,10 @@ def test_near_tie_that_float32_gets_wrong_is_rechecked_in_float64():
     # row 0, the lower index; the float64 Gram is exact here
     x = np.array([[1 - 2.0**-19], [1 + 2.0**-20], [1.0], [5.0], [6.0]])
     d = Dataset(x, [1, 0, 0, 1, 1], ("g",), "near_tie")
-    mask, cfg = np.ones(1, dtype=bool), WrapperConfig(protocol="loo")
-    assert knn_recount(d, mask, cfg, 0) == gram_accuracy(d, mask, cfg, 0) == 0.8
-    assert gram_accuracy(d, mask, cfg, 0, np.float32) == 0.4
-    assert evaluate_mask(d, mask, cfg) == 0.8
+    mask, folds = np.ones(1, dtype=bool), loo_folds(5)
+    assert loo_recount(d, mask) == gram_accuracy(d, mask, folds) == 0.8
+    assert gram_accuracy(d, mask, folds, np.float32) == 0.4
+    assert loo_accuracy(d, mask) == 0.8
 
 
 def test_near_tie_in_float32_underflow_is_rechecked_in_float64():
@@ -240,8 +251,8 @@ def test_near_tie_in_float32_underflow_is_rechecked_in_float64():
     x[0, 0] = 0.75
     x[:, 1] = np.array([2, 1.25, 1.26, 1.07]) * 2.0**-73
     d = Dataset(x, [0, 1, 0, 1], ("scale", "g"), "subnormal")
-    mask, cfg = np.array([False, True]), WrapperConfig(protocol="loo")
-    assert evaluate_mask(d, mask, cfg) == knn_recount(d, mask, cfg, 0) == 0.5
+    mask = np.array([False, True])
+    assert loo_accuracy(d, mask) == loo_recount(d, mask) == 0.5
 
 
 @pytest.mark.parametrize("x, labels, want", [
@@ -252,8 +263,8 @@ def test_near_tie_in_float32_underflow_is_rechecked_in_float64():
 ])
 def test_knn_classify_orders_distances_that_underflow_when_squared(x, labels, want):
     d = Dataset(np.array(x)[:, None], labels, ("g",), "tiny")
-    mask, cfg = np.ones(1, dtype=bool), WrapperConfig(protocol="loo")
-    assert evaluate_mask(d, mask, cfg) == knn_recount(d, mask, cfg, 0) == want
+    mask = np.ones(1, dtype=bool)
+    assert loo_accuracy(d, mask) == loo_recount(d, mask) == want
 
 
 def test_knn_classify_orders_differences_that_overflow():
@@ -265,15 +276,16 @@ def test_knn_classify_orders_differences_that_overflow():
         # unnormalized, row 0's two neighbors tie in float32, so the kernel asks knn_classify
         d = Dataset(np.array([[-1.5e308], [1.5e308], [1.5e308 * (1 - 2.0**-30)]]), [0, 1, 0],
                     ("g",), "huge")
-        mask, cfg = np.ones(1, dtype=bool), WrapperConfig(protocol="loo")
-        assert evaluate_mask(d, mask, cfg) == knn_recount(d, mask, cfg, 0) == 1 / 3
+        mask = np.ones(1, dtype=bool)
+        assert loo_accuracy(d, mask) == loo_recount(d, mask) == 1 / 3
 
 
 @st.composite
 def wide_scale_cases(draw):
     """Float features with exact duplicate rows and column scales from 1e-30
     to 1e30 in one dataset, so float32 rounds, underflows whole columns and
-    ties duplicates, a random mask and a protocol."""
+    ties duplicates, a random mask and a partition: leave-one-out (k_folds
+    None) or k folds."""
     n_classes = draw(st.integers(2, 3))
     n = draw(st.integers(2 * n_classes, 20))
     f = draw(st.integers(1, 6))
@@ -283,9 +295,8 @@ def wide_scale_cases(draw):
     labels = np.array(draw(st.permutations(list(np.arange(n) % n_classes))))
     d = Dataset(pool[rows] * scales, labels, tuple(f"f{i}" for i in range(f)), "wide")
     mask = draw(arrays(np.bool_, f))
-    protocol = draw(st.sampled_from(["loo", "kfold"]))
-    cfg = WrapperConfig(protocol=protocol, k_folds=draw(st.integers(2, n // n_classes)))
-    return d, mask, cfg, draw(st.integers(0, 2**16))
+    k_folds = draw(st.none() | st.integers(2, n // n_classes))
+    return d, mask, k_folds, draw(st.integers(0, 2**16))
 
 
 @settings(max_examples=300, deadline=None)
@@ -293,8 +304,8 @@ def wide_scale_cases(draw):
 def test_kernel_matches_knn_recount_across_scales_and_duplicates(case):
     # gram_accuracy is not the oracle here: its float64 cancellation
     # disagrees with knn_recount on a few draws in a thousand
-    d, mask, cfg, seed = case
-    assert evaluate_mask(d, mask, cfg, seed=seed) == knn_recount(d, mask, cfg, seed)
+    got, want = kernel_and_recount(*case)
+    assert got == want
 
 
 def test_kernel_matches_float64_gram_at_gene_scale():
@@ -303,19 +314,18 @@ def test_kernel_matches_float64_gram_at_gene_scale():
     rng = np.random.default_rng(3)
     for density in np.geomspace(0.002, 0.5, 60):
         mask = rng.random(d.n_features) < density
-        assert evaluate_mask(d, mask, cfg) == gram_accuracy(d, mask, cfg, 0)
+        assert evaluate_mask(d, mask, cfg) == gram_accuracy(d, mask, _folds(d, cfg, 0))
 
 
 def test_empty_mask_scores_zero():
     d = small_dataset()
-    for protocol in ("loo", "kfold"):
-        cfg = WrapperConfig(protocol=protocol, k_folds=3)
-        assert evaluate_mask(d, np.zeros(6, dtype=bool), cfg) == 0.0
+    assert evaluate_mask(d, np.zeros(6, dtype=bool), WrapperConfig(k_folds=3)) == 0.0
+    assert loo_accuracy(d, np.zeros(6, dtype=bool)) == 0.0
 
 
 def test_evaluate_mask_refuses_a_mask_of_the_wrong_shape():
     d = small_dataset()
-    cfg = WrapperConfig(protocol="loo")
+    cfg = WrapperConfig(k_folds=3)
     for mask in (np.ones(5, dtype=bool), np.ones((1, 6), dtype=bool), True):
         with pytest.raises(ContractError, match=r"mask must have shape \(6,\), got"):
             evaluate_mask(d, mask, cfg)
@@ -328,8 +338,9 @@ def test_evaluate_mask_ignores_unselected_columns():
     noisy[:, 0] = np.random.default_rng(0).normal(size=d.n_samples) * 100
     d2 = Dataset(noisy, d.labels, d.feature_names, "t")
     mask = np.array([False, True, True, True, True, True])
-    cfg = WrapperConfig(protocol="loo")
+    cfg = WrapperConfig(k_folds=3)
     assert evaluate_mask(d, mask, cfg) == evaluate_mask(d2, mask, cfg)
+    assert loo_accuracy(d, mask) == loo_accuracy(d2, mask)
 
 
 def test_wrapper_config_validation():
@@ -338,15 +349,12 @@ def test_wrapper_config_validation():
     with pytest.raises(ConfigError):
         WrapperConfig(threshold=-1.0)
     with pytest.raises(ConfigError):
-        WrapperConfig(protocol="holdout")
-    with pytest.raises(ConfigError):
         WrapperConfig(k_folds=1)
 
 
 @pytest.mark.parametrize("key,value,noun", [
     ("k_folds", 2.5, "an integer"), ("k_folds", True, "an integer"),
     ("threshold", "0.5", "a finite number"), ("threshold", float("nan"), "a finite number"),
-    ("protocol", None, "a string"),
 ])
 def test_wrapper_config_rejects_values_of_the_wrong_type(key, value, noun):
     with pytest.raises(ConfigError, match=f"^{key} must be {noun}, got "):
@@ -359,7 +367,7 @@ def test_wrapper_config_rejects_values_of_the_wrong_type(key, value, noun):
 
 def test_objective_is_one_minus_accuracy():
     d = small_dataset(seed=7)
-    cfg = WrapperConfig(protocol="kfold", k_folds=3)
+    cfg = WrapperConfig(k_folds=3)
     obj = wrapper_objective(d, cfg, seed=11)
     rng = np.random.default_rng(2)
     for _ in range(10):
@@ -371,7 +379,7 @@ def test_objective_is_one_minus_accuracy():
 
 def test_objective_refuses_a_position_of_the_wrong_shape():
     d = small_dataset(seed=7)
-    obj = wrapper_objective(d, WrapperConfig(protocol="loo"))
+    obj = wrapper_objective(d, WrapperConfig(k_folds=3))
     for position in (np.ones(5), np.ones((1, 6)), 0.9):
         with pytest.raises(ContractError, match=r"position must have shape \(6,\), got"):
             obj(position)
@@ -448,12 +456,12 @@ def test_wall_time_charges_the_scoring_seconds_of_memo_hits(monkeypatch):
 
 def test_select_features_refuses_an_objective_built_for_another_run():
     d = small_dataset(seed=3)
-    cfg = WrapperConfig(protocol="loo")
+    cfg = WrapperConfig(k_folds=3)
     objective = wrapper_objective(d, cfg, seed=5)
     assert select_features(d, make_epso(d, seed=5), cfg, objective=objective).accuracy > 0
     copy = Dataset(d.features, d.labels, d.feature_names, d.name)
     for other in (wrapper_objective(copy, cfg, seed=5),
-                  wrapper_objective(d, WrapperConfig(protocol="loo", threshold=0.4), seed=5),
+                  wrapper_objective(d, WrapperConfig(threshold=0.4, k_folds=3), seed=5),
                   wrapper_objective(d, cfg, seed=6)):
         with pytest.raises(ConfigError, match="another dataset, config or seed"):
             select_features(d, make_epso(d, seed=5), cfg, objective=other)
@@ -476,7 +484,7 @@ def make_epso(d, seed=0, **kw):
 
 def test_select_features_deterministic():
     d = small_dataset(seed=3)
-    cfg = WrapperConfig(protocol="loo")
+    cfg = WrapperConfig(k_folds=3)
     a = select_features(d, make_epso(d, seed=5), cfg)
     b = select_features(d, make_epso(d, seed=5), cfg)
     assert np.array_equal(a.mask, b.mask)
@@ -485,7 +493,7 @@ def test_select_features_deterministic():
 
 def test_select_features_accuracy_consistent_with_mask():
     d = small_dataset(seed=3)
-    cfg = WrapperConfig(protocol="loo")
+    cfg = WrapperConfig(k_folds=3)
     res = select_features(d, make_epso(d, seed=5), cfg)
     assert res.accuracy == pytest.approx(evaluate_mask(d, res.mask, cfg))
     assert np.array_equal(res.mask, binarize(res.run.best_position, cfg.threshold))
@@ -495,7 +503,7 @@ def test_select_features_accuracy_consistent_with_mask():
 
 def test_pso_and_degenerate_epso_find_same_mask():
     d = small_dataset(seed=6)
-    cfg = WrapperConfig(protocol="loo")
+    cfg = WrapperConfig(k_folds=3)
     pso = select_features(d, make_epso(d, seed=2), cfg, mode="pso")
     degen = select_features(
         d, make_epso(d, seed=2, g_pini=1.0, g_pfine=1.0), cfg, mode="epso"
@@ -506,7 +514,7 @@ def test_pso_and_degenerate_epso_find_same_mask():
 
 def test_select_features_validates_dimension_and_bounds():
     d = small_dataset()
-    cfg = WrapperConfig(protocol="loo")
+    cfg = WrapperConfig(k_folds=3)
     bad_dim = EpsoConfig(dimension=3, bounds=position_bounds(3), seed=0)
     with pytest.raises(ConfigError):
         select_features(d, bad_dim, cfg)
@@ -518,7 +526,7 @@ def test_select_features_validates_dimension_and_bounds():
 def test_selection_recovers_informative_signal():
     # strong separation: the best mask should beat the all-features baseline
     d = synth_dataset(40, 12, 2, seed=1, separation=6.0)
-    cfg = WrapperConfig(protocol="loo")
+    cfg = WrapperConfig(k_folds=3)
     res = select_features(d, make_epso(d, seed=4, max_iterations=20), cfg)
     baseline = evaluate_mask(d, np.ones(12, dtype=bool), cfg)
     assert res.accuracy >= baseline

@@ -400,6 +400,40 @@ def test_cli_non_finite_data_cell_exits_2(tmp_path, capsys, cell):
     assert not out.exists()
 
 
+def test_cli_select_on_a_finite_column_whose_span_overflows(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("x,y,label\n1e308,2,A\n-1e308,4,B\n0,1,A\n5,7,B\n")
+    assert main(["select", "--data", str(data), "--runs", "1", "--folds", "2",
+                 "--population", "4", "--iterations", "2", "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "out" / "report.json").exists()
+
+
+def test_cli_refuses_an_out_under_a_file_before_any_run(tmp_path, capsys, monkeypatch):
+    def no_run(cfg):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    (tmp_path / "file").write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    for out in (tmp_path / "file", tmp_path / "file" / "a" / "b"):
+        assert main(["bench", "--function", "rastrigin_shifted_rotated", "--runs", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: out_dir {str(out)!r}: {tmp_path / 'file'} is not a writable directory\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_cli_report_that_cannot_be_written_exits_1(tmp_path, capsys):
+    (tmp_path / "report.json").mkdir()  # open() of a directory is an OSError
+    assert main(["bench", "--function", "rastrigin_shifted_rotated", "--runs", "1",
+                 "--dim", "2", "--population", "4", "--iterations", "2",
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write the reports: [Errno 21] Is a directory: ")
+    assert err.count("\n") == 1
+
+
 def test_cli_select_calls_each_layer_by_its_module_name(tmp_path, capsys, monkeypatch):
     # perfbench times the select chain by swapping these names; each must be
     # looked up when it is called, and the swaps must not change the report
