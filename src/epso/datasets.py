@@ -12,7 +12,6 @@ import mmap
 import os
 import pickle
 import signal
-import struct
 import threading
 import warnings
 from dataclasses import dataclass
@@ -261,53 +260,31 @@ def _parse_range(source, head: _Head, skip: int = 0) -> tuple[np.ndarray, list[s
 
 
 def _serve_range(out: int, fd: int, start: int, end: int, head: _Head):
-    """A forked child's work: parse one range, send its row count, the
-    labels' pickle size, the raw rows and the pickle down the pipe, exit."""
+    """A forked child's work: parse one range, send the table and labels
+    down the pipe as one pickle, exit."""
     code = 1
     try:
-        table, labels = _parse_range(_range_text(fd, start, end), head)
-        blob = pickle.dumps(labels)
         with open(out, "wb") as pipe:
-            pipe.write(struct.pack("qq", len(table), len(blob)))
-            pipe.write(np.ascontiguousarray(table).data)
-            pipe.write(blob)
+            pickle.dump(_parse_range(_range_text(fd, start, end), head), pipe, protocol=5)
         code = 0
     finally:
         os._exit(code)
 
 
-def _read_exact(fd: int, buffer) -> None:
-    view = memoryview(buffer).cast("B")
-    while view:
-        n = os.readv(fd, [view])
-        if not n:
-            raise EOFError("a parsing child ended before sending its rows")
-        view = view[n:]
-
-
-def _receive_range(fd: int, head: _Head) -> tuple[np.ndarray, list[str]]:
-    sizes = bytearray(16)
-    _read_exact(fd, sizes)
-    rows, blob_size = struct.unpack("qq", sizes)
-    table = np.empty((rows, head.width))
-    _read_exact(fd, table)
-    blob = bytearray(blob_size)
-    _read_exact(fd, blob)
-    return table, pickle.loads(blob)
-
-
 def _parse_forked(fd: int, ranges: list[tuple[int, int]],
                   head: _Head) -> list[tuple[np.ndarray, list[str]]]:
     """Range 0 parsed here and every other range in a forked child, in
-    order. A child's exception, short send or non-zero exit raises here,
-    and every child is reaped (killed first, on a failure) before this
-    returns or raises."""
+    order, read back as one pickle per child (protocol 5 sends the table's
+    buffer in-band, and loading wraps it without a copy). A child's
+    exception, short or corrupt send or non-zero exit raises here, and every
+    child is reaped (killed first, on a failure) before this returns or
+    raises."""
     pids: list[int] = []
-    pipes: list[int] = []
+    pipes: list[io.BufferedReader] = []
     try:
         for start, end in ranges[1:]:
             pipe, out = os.pipe()
-            pipes.append(pipe)
+            pipes.append(open(pipe, "rb"))
             # SIGINT waits until the pid is recorded, so a KeyboardInterrupt reaps it
             mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
             try:
@@ -319,7 +296,7 @@ def _parse_forked(fd: int, ranges: list[tuple[int, int]],
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                 os.close(out)
         parts = [_parse_range(_range_text(fd, *ranges[0]), head)]
-        parts += [_receive_range(pipe, head) for pipe in pipes]
+        parts += [pickle.load(pipe) for pipe in pipes]
         while pids:
             status = os.waitpid(pids[-1], 0)[1]
             pids.pop()
@@ -328,7 +305,7 @@ def _parse_forked(fd: int, ranges: list[tuple[int, int]],
         return parts
     finally:
         for pipe in pipes:
-            os.close(pipe)
+            pipe.close()
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -408,7 +385,8 @@ def load_csv(path, label_column: str = "last") -> Dataset:
     Python thread, the data records are cut at line ends into one range per
     usable CPU, each at least a couple of MB (_RANGE_FLOOR), if no quote
     byte follows the header. Range 0 is parsed here and each other range in
-    a forked child. Any other file takes one pass. Either way the features,
+    a forked child, which sends its rows and labels back as one pickle per
+    child. Any other file takes one pass. Either way the features,
     labels and names are bit-identical, and no option controls the split.
     """
     path = Path(path)

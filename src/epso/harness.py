@@ -236,28 +236,43 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def emit_report(report: ExperimentReport, out_dir) -> list[Path]:
-    """Write report.csv and report.json into out_dir; returns both paths."""
+    """Write report.csv and report.json into out_dir; returns both paths.
+
+    Each is written under a temporary name, and both are then renamed into
+    place. On any failure the files this call made, temporary or renamed,
+    are deleted before the error propagates, so out_dir never holds one
+    fresh report file without its partner."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     columns = BENCH_CSV_COLUMNS if report.task == "benchmark" else SELECT_CSV_COLUMNS
-    csv_path = out / "report.csv"
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in report.rows:
-            writer.writerow([row[c] for c in columns])
-
-    json_path = out / "report.json"
     payload = {
         "task": report.task,
         "config": report.config,
         "rows": report.rows,
         "runs": report.runs,
     }
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return [csv_path, json_path]
+    paths = [out / "report.csv", out / "report.json"]
+    temps = [path.with_name(path.name + ".tmp") for path in paths]
+    made: list[Path] = []
+    try:
+        with open(temps[0], "w", newline="", encoding="utf-8") as fh:
+            made.append(temps[0])
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            for row in report.rows:
+                writer.writerow([row[c] for c in columns])
+        with open(temps[1], "w", encoding="utf-8") as fh:
+            made.append(temps[1])
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        for i, (temp, path) in enumerate(zip(temps, paths)):
+            temp.replace(path)
+            made[i] = path
+    except BaseException:
+        for path in made:
+            path.unlink(missing_ok=True)
+        raise
+    return paths
 
 
 def emit_trace(run: RunResult, path) -> Path:

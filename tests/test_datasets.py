@@ -310,18 +310,37 @@ def load_by_rows(path, label_column):
     return datasets._dataset(path, head, *datasets._parse_rows(path, head))
 
 
+def open_fds():
+    """This process's open file descriptors, or None where /proc/self/fd does not exist."""
+    try:
+        return sorted(os.listdir("/proc/self/fd"))
+    except FileNotFoundError:
+        return None
+
+
+fds_at_split = None  # open_fds() when split() was last entered
+
+
 @contextlib.contextmanager
 def split(floor=4, cpus=3):
     """load_csv with the range floor and the usable CPU count patched, so
-    that small files are cut into up to cpus ranges."""
+    that small files are cut into up to cpus ranges; this process's open
+    file descriptors are recorded for assert_no_child_left."""
+    global fds_at_split
+    fds_at_split = open_fds()
     with mock.patch.object(datasets, "_RANGE_FLOOR", floor), \
             mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))):
         yield
 
 
 def assert_no_child_left():
+    """No child is left to reap, and no file descriptor opened since split()
+    was last entered is left open (unchecked without /proc/self/fd)."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    global fds_at_split
+    before, fds_at_split = fds_at_split, None
+    assert open_fds() == before
 
 
 @settings(max_examples=300, deadline=None)

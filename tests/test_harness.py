@@ -208,6 +208,23 @@ def test_emit_report_selection_columns(tmp_path):
     assert rows[0] == SELECT_CSV_COLUMNS
 
 
+def test_emit_report_leaves_no_half_report(tmp_path):
+    first, second = run_experiment(bench_cfg()), run_experiment(bench_cfg(base_seed=7))
+    (tmp_path / "out" / "report.json").mkdir(parents=True)
+    with pytest.raises(IsADirectoryError):
+        emit_report(first, tmp_path / "out")
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["report.json"]
+    (tmp_path / "out" / "report.json").rmdir()
+    emit_report(first, tmp_path / "out")
+    emit_report(second, tmp_path / "out")  # a rerun replaces both files
+    emit_report(first, tmp_path / "first")
+    emit_report(second, tmp_path / "second")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["report.csv", "report.json"]
+    for name in ("report.csv", "report.json"):
+        got = masked(tmp_path / "out" / name)
+        assert got == masked(tmp_path / "second" / name) != masked(tmp_path / "first" / name)
+
+
 def test_emit_trace_is_full_curve(tmp_path):
     report = run_experiment(bench_cfg(runs=1, algorithm="pso"))
     run = report.traces["pso"][0]
