@@ -276,14 +276,15 @@ def emit_report(report: ExperimentReport, out_dir) -> list[Path]:
 
 
 def emit_trace(run: RunResult, path) -> Path:
-    """Write one run's convergence curve as CSV: iteration,gbest_fitness."""
+    """Write one run's convergence curve as CSV: iteration,gbest_fitness.
+
+    One write of the bytes csv.writer gives: CRLF line ends, each value as its repr.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    rows = "".join(f"{it},{fit!r}\r\n" for it, fit in run.trace)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "gbest_fitness"])
-        for it, fit in run.trace:
-            writer.writerow([it, fit])
+        fh.write("iteration,gbest_fitness\r\n" + rows)
     return path
 
 

@@ -10,12 +10,14 @@ group fractions at 1.0, where group 1 is the whole swarm; optimize applies it.
 
 step is the whole update rule, one array update over all rows: both
 groups' velocities, the gene mutation and the move. It checks the state's
-shapes once, on entry, against the config. A run draws from one
-np.random.Generator seeded with config.seed, in blocks whose shapes do not
-depend on the group sizes: init_swarm draws one P x D uniform block, and
-every step draws r1 | r2, the gene keys, then alpha | beta (see step). Row
-i always reads row i of each block, so PSO and EPSO consume the same
-numbers and no result depends on the order rows are evaluated in. An
+shapes and the generator once, on entry, against the config. A run draws
+from one PCG64 np.random.Generator (np.random.default_rng) seeded with
+config.seed, which a step moves by the same amount whatever the group
+sizes: init_swarm draws one P x D uniform block, and every step takes
+r1 | r2, the gene keys, then alpha | beta (see step). A flat step, with no
+group 2, draws r1 | r2 and advances the generator past the blocks no row
+reads. Row i always reads row i of each block, so PSO and EPSO consume the
+same numbers and no result depends on the order rows are evaluated in. An
 objective marked with batch_objective gets all rows in one call per
 iteration; any other objective is called once per particle, with a 1-D row,
 in index order.
@@ -23,8 +25,10 @@ in index order.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -50,7 +54,7 @@ def batch_objective(fn: Objective) -> Objective:
 def _round_half_up(x: float) -> int:
     """Round with halves going up (so schedules are deterministic). Callers
     clamp the result at 0 or above, where halves up and away agree."""
-    return int(np.floor(x + 0.5))
+    return math.floor(x + 0.5)
 
 
 @dataclass(frozen=True)
@@ -116,9 +120,20 @@ class EpsoConfig:
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
 
-    @property
+    @cached_property
     def velocity_limit(self) -> np.ndarray:
-        return self.velocity_clamp_fraction * (self.bounds[:, 1] - self.bounds[:, 0])
+        """Per-dimension bound on |v|; computed once and read-only, as every step shares it."""
+        return self._clamps[1]
+
+    @cached_property
+    def _clamps(self) -> tuple[np.ndarray, ...]:
+        """The rows -velocity_limit, velocity_limit, low and high, contiguous
+        and read-only, which step reads on every iteration."""
+        low, high = self.bounds.T
+        limit = self.velocity_clamp_fraction * (high - low)
+        rows = np.array([-limit, limit, low, high])
+        rows.flags.writeable = False
+        return tuple(rows)
 
 
 @dataclass
@@ -265,15 +280,23 @@ def init_swarm(config: EpsoConfig, objective: Objective, rng: np.random.Generato
 
 def step(swarm: SwarmState, objective: Objective, config: EpsoConfig,
          rng: np.random.Generator) -> SwarmState:
-    """Advance the swarm by one iteration and return it; the state's arrays are new ones.
+    """Advance the swarm by one iteration and return it.
+
+    positions and velocities are replaced by new arrays, and so is
+    gbest_position when the gbest improves; pbest_positions and
+    pbest_fitness are updated in place.
 
     The state is checked once, on entry, against the config: positions,
     velocities and pbest_positions must be (P, D), pbest_fitness (P,) and
-    gbest_position (D,); anything else is a ContractError. Group sizes are
-    recomputed from the pre-step iteration counter. Whatever the group
-    sizes, the step draws, in this order: r1 and r2 as one (2, P, D) block,
-    one P x D block of uniform gene keys, and alpha and beta as one (2, P, m)
-    block on [-1, 1], where m is the scheduled gene count.
+    gbest_position (D,); anything else is a ContractError, and so is a bit
+    generator other than np.random.default_rng's PCG64 (or PCG64DXSM).
+    Group sizes are recomputed from the pre-step iteration counter. Whatever
+    the group sizes, the step takes, in this order: r1 and r2 as one
+    (2, P, D) block, one P x D block of uniform gene keys, and alpha and beta
+    as one (2, P, m) block on [-1, 1], where m is the scheduled gene count.
+    A flat step (group 1 is the whole swarm) draws r1 | r2 and advances the
+    generator past the other two blocks, which no row reads; each float64
+    draw is one 64-bit output, so it ends where the full draw leaves it.
 
     Group-1 rows take the standard update from their rows of r1 and r2:
     v' = w*v + c1*r1*(pbest - x) + c2*r2*(gbest - x). A group-2 row instead
@@ -290,17 +313,24 @@ def step(swarm: SwarmState, objective: Objective, config: EpsoConfig,
     if shapes != want:
         raise ContractError(f"positions, velocities, pbest_positions, pbest_fitness and "
                             f"gbest_position must have shapes {want}, got {shapes}")
+    # advance(k) skips k float64 draws only on these; Philox's skips 4k
+    if not isinstance(rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
+        raise ContractError(f"step needs a PCG64 generator, as np.random.default_rng gives; "
+                            f"got {type(rng.bit_generator).__name__}")
     if swarm.iteration >= config.max_iterations:
         raise ContractError("swarm already reached max_iterations")
     t, x, v, pbest, gbest = (swarm.iteration, swarm.positions, swarm.velocities,
                              swarm.pbest_positions, swarm.gbest_position)
-    r1, r2, keys = rng.random((3, n, d))
-    m = mutation_gene_count(t, config)
-    alpha, beta = rng.uniform(-1.0, 1.0, (2, n, m))
+    g1, m = group1_size(t, config), mutation_gene_count(t, config)
+    if g1 < n:
+        r1, r2, keys = rng.random((3, n, d))
+        alpha, beta = rng.uniform(-1.0, 1.0, (2, n, m))
+    else:
+        r1, r2 = rng.random((2, n, d))
+        rng.bit_generator.advance(n * d + 2 * n * m)
 
     new = (v * inertia_weight(t, config) + (config.c1 * r1) * (pbest - x)
            + (config.c2 * r2) * (gbest - x))
-    g1 = group1_size(t, config)
     if g1 < n:
         _, group2 = assign_groups(swarm.pbest_fitness, g1)
         genes = np.sort(np.argpartition(keys[group2], m - 1)[:, :m])
@@ -309,12 +339,12 @@ def step(swarm: SwarmState, objective: Objective, config: EpsoConfig,
         new[rows, genes] = (alpha[group2] * gbest[genes]
                             + (1.0 - beta[group2] * v[rows, genes]) * pbest[rows, genes])
     # bound first: on a signed-zero tie numpy returns the second operand, the value
-    limit = config.velocity_limit
-    np.maximum(-limit, new, out=new)
+    neg_limit, limit, low, high = config._clamps
+    np.maximum(neg_limit, new, out=new)
     swarm.velocities = np.minimum(limit, new, out=new)
     x = x + new
-    np.maximum(config.bounds[:, 0], x, out=x)
-    swarm.positions = np.minimum(config.bounds[:, 1], x, out=x)
+    np.maximum(low, x, out=x)
+    swarm.positions = np.minimum(high, x, out=x)
 
     update_bests(swarm, _evaluate(objective, swarm.positions))
     swarm.iteration += 1

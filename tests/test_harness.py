@@ -1,5 +1,6 @@
 import csv
 import gc
+import io
 import json
 import math
 import re
@@ -27,7 +28,7 @@ from epso.harness import (
 )
 from epso import cli, feature_selection, harness
 from epso.cli import main
-from epso.swarm import RunResult, Trace
+from epso.swarm import EpsoConfig, RunResult, Trace, optimize
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +238,38 @@ def test_emit_trace_is_full_curve(tmp_path):
     assert fits == sorted(fits, reverse=True) or all(
         b <= a for a, b in zip(fits, fits[1:])
     )
+
+
+def csv_writer_bytes(run) -> bytes:
+    """The trace file as csv.writer writes it, the writer emit_trace replaced."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["iteration", "gbest_fitness"])
+    for it, fit in run.trace:
+        writer.writerow([it, fit])
+    return out.getvalue().encode()
+
+
+def test_emit_trace_writes_the_bytes_of_csv_writer(tmp_path):
+    # +inf, a 17-digit value, the least subnormal and a negative zero
+    run = RunResult(np.zeros(1), -0.0, Trace([math.inf, 0.1 + 0.2, 5e-324, -0.0]), 0.0, 0)
+    data = emit_trace(run, tmp_path / "trace.csv").read_bytes()
+    assert data == csv_writer_bytes(run)
+    assert data == b"iteration,gbest_fitness\r\n0,inf\r\n1,0.30000000000000004\r\n2,5e-324\r\n3,-0.0\r\n"
+
+
+def test_trace_of_a_run_whose_first_values_are_non_finite_starts_at_inf(tmp_path):
+    calls = []
+
+    def objective(x):  # NaN for the whole first (init) evaluation, then the sphere
+        calls.append(1)
+        return math.nan if len(calls) <= 8 else float(np.sum(x ** 2))
+
+    run = optimize(EpsoConfig(dimension=4, bounds=[-5.0, 5.0], population_size=8,
+                              max_iterations=5), objective, "pso")
+    data = emit_trace(run, tmp_path / "trace.csv").read_bytes()
+    assert data.startswith(b"iteration,gbest_fitness\r\n0,inf\r\n1,")
+    assert math.isfinite(run.trace[1][1]) and data == csv_writer_bytes(run)
 
 
 # golden reports: every file that one bench and one select run write, recorded

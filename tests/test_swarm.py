@@ -111,14 +111,17 @@ def test_inertia_endpoints_and_midpoint():
 # ---------------------------------------------------------------------------
 
 class Draws:
-    """Stands in for step's generator: hands out the given r1, r2 and keys,
-    then alpha and beta, each broadcast to its row block's shape."""
+    """Stands in for step's generator: hands out the given r1, r2 and keys
+    (r1 and r2 alone on a flat step), then alpha and beta, each broadcast to
+    its row block's shape. A flat step advances bit_generator, which no draw
+    here reads."""
 
     def __init__(self, r1=0.0, r2=0.0, keys=0.0, alpha=0.0, beta=0.0):
         self.unit, self.signed = (r1, r2, keys), (alpha, beta)
+        self.bit_generator = np.random.PCG64(0)
 
     def random(self, shape):
-        return np.stack([np.broadcast_to(b, shape[1:]) for b in self.unit])
+        return np.stack([np.broadcast_to(b, shape[1:]) for b in self.unit[:shape[0]]])
 
     def uniform(self, low, high, shape):
         assert (low, high) == (-1.0, 1.0)
@@ -429,6 +432,29 @@ def test_step_rejects_a_state_that_does_not_match_the_config(field, shape):
                        r"\(\(10, 3\), \(10, 3\), \(10, 3\), \(10,\), \(3,\)\), got "):
         step(swarm, sphere, cfg, rng)
     assert rng.bit_generator.state == drawn and swarm.iteration == 0  # nothing was drawn
+
+
+@pytest.mark.parametrize("g_pini", [1.0, 0.0], ids=["flat", "two-group"])
+def test_step_refuses_a_generator_that_is_not_pcg64(g_pini):
+    cfg = make_config(max_iterations=5, g_pini=g_pini, g_pfine=g_pini)
+    swarm = init_swarm(cfg, sphere, np.random.default_rng(cfg.seed))
+    rng = np.random.Generator(np.random.MT19937(0))
+    with pytest.raises(ContractError, match=r"^step needs a PCG64 generator, as "
+                       r"np.random.default_rng gives; got MT19937$"):
+        step(swarm, sphere, cfg, rng)
+    # nothing was drawn
+    assert rng.random() == np.random.Generator(np.random.MT19937(0)).random()
+    assert swarm.iteration == 0
+
+
+def test_velocity_limit_is_computed_once_and_read_only():
+    cfg = make_config()
+    assert cfg.velocity_limit is cfg.velocity_limit
+    assert np.array_equal(cfg.velocity_limit, [4.0, 4.0, 4.0])
+    with pytest.raises(ValueError, match="read-only"):
+        cfg.velocity_limit[0] = 1.0
+    assert np.array_equal(dataclasses.replace(cfg, velocity_clamp_fraction=0.5).velocity_limit,
+                          [10.0, 10.0, 10.0])
 
 
 @pytest.mark.parametrize("mode", [None, 1, "PSO"])
@@ -823,6 +849,21 @@ def reference_run(cfg, objective, mode):
         if fitness[best] < gfit:
             gbest, gfit = x[best][:], fitness[best]
         yield x, v, pbest, pfit, gbest, gfit
+
+
+@settings(max_examples=150, deadline=None)
+@given(configs(), st.sampled_from(["pso", "epso"]))
+def test_property_each_step_leaves_the_generator_past_every_block(cfg, mode):
+    # a flat step draws r1 | r2 and skips the rest; the generator must end
+    # where drawing the keys and alpha | beta as well leaves it
+    n, d = cfg.population_size, cfg.dimension
+    rng, full = np.random.default_rng(cfg.seed), np.random.default_rng(cfg.seed)
+    full.random((n, d))
+    for swarm in run_steps(cfg, shifted_sphere(cfg, 0.3), mode, rng):
+        if swarm.iteration > 0:
+            full.random((3, n, d))
+            full.uniform(-1.0, 1.0, (2, n, mutation_gene_count(swarm.iteration - 1, cfg)))
+        assert rng.bit_generator.state == full.bit_generator.state
 
 
 @settings(max_examples=150, deadline=None)
