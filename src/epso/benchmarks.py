@@ -10,7 +10,9 @@ Every function takes one point (D,) or a stack of points (..., D) and reduces
 along the last axis: a 1-D input gives a Python float, a (P, D) input gives
 the P row values. Each row's value is bit-identical to the 1-D call on that
 row, because each row goes through the same reductions and the same BLAS
-call (gemv for a rotation, dot for a distance) as the 1-D input does.
+call (gemv for a rotation, dot for a distance) as the 1-D input does. Squares
+are IEEE products in both forms: np.square is a ufunc, so a float64 scalar
+squares as an array element does (a scalar's ** 2 would call libm pow).
 
 Each base function declares the least dimension it accepts at its definition
 (`@_base(least=...)`, read back as `least_dimension`). The registry is one
@@ -47,17 +49,6 @@ def _value(v):
     return v if getattr(v, "ndim", 0) else float(v)
 
 
-def _scalar_square(v) -> np.ndarray:
-    """v ** 2 element by element as a float64 scalar computes it.
-
-    A scalar's ** 2 calls libm pow, an array's ** 2 computes v * v, and the
-    two differ in the last bit for about one value in a thousand. The 1-D
-    forms square scalars here, so the stacked forms do the same.
-    """
-    v = np.asarray(v, dtype=float)
-    return np.array([x ** 2 for x in v.flat]).reshape(v.shape)
-
-
 def _base(least: int = 1):
     """Declare a base function that needs at least `least` coordinates, kept as
     its least_dimension. The body gets _points(z), a point or a stack of
@@ -82,7 +73,7 @@ def elliptic(z) -> float:
     """Sum of (1e6)^(d/(D-1)) * z_d^2; a highly ill-conditioned bowl."""
     d = z.shape[-1]
     if d == 1:
-        return _scalar_square(z[..., 0])
+        return np.square(z[..., 0])
     weights = 1e6 ** (np.arange(d) / (d - 1))
     return (weights * z * z).sum(axis=-1)
 
@@ -90,7 +81,7 @@ def elliptic(z) -> float:
 @_base(least=2)
 def cigar(z) -> float:
     """z_1^2 + 1e6 * sum of the remaining squares."""
-    return _scalar_square(z[..., 0]) + 1e6 * (z[..., 1:] ** 2).sum(axis=-1)
+    return np.square(z[..., 0]) + 1e6 * (z[..., 1:] ** 2).sum(axis=-1)
 
 
 @_base()
@@ -191,7 +182,7 @@ def composition_weights(x, components: Sequence[CompositionComponent]) -> np.nda
     scale = np.array([2.0 * d * c.sigma**2 for c in components])
     # at a center, or where every weight underflows, all weight goes to the nearest
     nearest = (dists == 0.0).any(axis=-1, keepdims=True)
-    w = np.exp(-_scalar_square(dists) / scale)
+    w = np.exp(-np.square(dists) / scale)
     np.divide(w, dists, out=w, where=~nearest)
     total = w.sum(axis=-1, keepdims=True)
     nearest |= total == 0.0

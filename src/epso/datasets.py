@@ -145,8 +145,10 @@ def _read_head(path: Path, label_column: str) -> _Head:
     elif label_column == "last":
         label_idx = width - 1
     else:
-        if label_column not in first:
-            raise DataError(f"label column {label_column!r} not found in header")
+        count = first.count(label_column)
+        if count != 1:
+            found = "not found" if not count else f"found {count} times"
+            raise DataError(f"label column {label_column!r} {found} in header")
         label_idx = first.index(label_column)
 
     has_header = by_name or any(

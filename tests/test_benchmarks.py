@@ -562,7 +562,7 @@ def scalar_composition_weights(x, components):
         w[int(np.argmin(dists))] = 1.0
         return w
     for i, c in enumerate(components):
-        w[i] = np.exp(-dists[i] ** 2 / (2.0 * x.size * c.sigma**2)) / dists[i]
+        w[i] = np.exp(-(dists[i] * dists[i]) / (2.0 * x.size * c.sigma**2)) / dists[i]
     total = w.sum()
     if total == 0.0:
         w[int(np.argmin(dists))] = 1.0
@@ -579,5 +579,19 @@ def test_stacked_forms_match_the_scalar_reference_loops():
     x = rng.uniform(-100.0, 100.0, (3000, 3))
     assert composition_weights(x, comps).tolist() == [
         scalar_composition_weights(p, comps).tolist() for p in x]
-    assert cigar(x).tolist() == [float(p[0] ** 2 + 1e6 * (p[1:] ** 2).sum()) for p in x]
-    assert elliptic(x[:, :1]).tolist() == [float(p[0] ** 2) for p in x]
+    assert cigar(x).tolist() == [float(p[0] * p[0] + 1e6 * (p[1:] ** 2).sum()) for p in x]
+    assert elliptic(x[:, :1]).tolist() == [float(p[0] * p[0]) for p in x]
+
+
+def test_squares_are_ieee_products_in_both_forms():
+    # where a float64 scalar's ** 2 (libm pow) is not the correctly rounded
+    # product, a one-point call and its stacked row both give x * x
+    x = np.random.default_rng(29).uniform(-100.0, 100.0, 20000)
+    odd = [v for v in x.tolist() if float(np.float64(v) ** 2) != v * v]
+    assert odd, "the draw met no value where pow and the product differ"
+    products = [v * v for v in odd]
+    assert [cigar([v, 0.0]) for v in odd] == products
+    assert [elliptic([v]) for v in odd] == products
+    column = np.array(odd)[:, None]
+    assert cigar(np.hstack([column, np.zeros_like(column)])).tolist() == products
+    assert elliptic(column).tolist() == products

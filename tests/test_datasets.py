@@ -47,6 +47,15 @@ def test_label_column_by_name_and_first(tmp_path):
     assert d2.labels.tolist() == [0, 1]
 
 
+@pytest.mark.parametrize("text, count", [("a,label,label\n1,A,A\n2,B,B\n", 2),
+                                         ("label,b,label,label\nA,1,A,A\nB,2,B,B\n", 3)])
+def test_label_column_named_more_than_once_is_a_data_error(tmp_path, text, count):
+    # the first match would be the label and every other match a feature of the same name
+    with pytest.raises(DataError) as exc:
+        load_csv(write(tmp_path, text), label_column="label")
+    assert str(exc.value) == f"label column 'label' found {count} times in header"
+
+
 def test_unparseable_cell_names_row_and_column(tmp_path):
     with pytest.raises(DataError, match="row 3") as exc:
         load_csv(write(tmp_path, "x,y,label\n1,2,A\n1,oops,B\n"))
@@ -564,6 +573,41 @@ def test_normalize_idempotent():
     d2 = normalize_minmax(d)
     assert np.array_equal(d.features, d2.features)
     assert np.all(d.features >= 0) and np.all(d.features <= 1)
+
+
+@st.composite
+def feature_columns(draw):
+    """A finite (n, F) matrix whose columns may be constant or span past the float64 range."""
+    n, f = draw(st.integers(2, 8)), draw(st.integers(1, 5))
+    cell = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([1e308, -1e308])
+    x = draw(arrays(np.float64, (n, f), elements=cell))
+    zeros = arrays(np.float64, n, elements=st.sampled_from([0.0, -0.0]))
+    for j in draw(st.sets(st.integers(0, f - 1))):
+        x[:, j] = draw(zeros) if draw(st.booleans()) else x[0, j]  # zeros may mix signs
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(feature_columns())
+def test_normalize_maps_each_column_alone_onto_zero_one(x):
+    labels = np.arange(len(x)) % 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = normalize_minmax(Dataset(x, labels, tuple(f"f{j}" for j in range(x.shape[1])))).features
+    assert np.all((out >= 0.0) & (out <= 1.0))
+    for j, (col, got) in enumerate(zip(x.T, out.T)):
+        if col.min() == col.max():
+            assert got.tobytes() == np.zeros(len(col)).tobytes()  # +0.0, whatever the zeros' signs
+        else:
+            assert got[col.argmin()] == 0.0 and got[col.argmax()] == 1.0
+        with np.errstate(over="ignore"):
+            span = col.max() - col.min()
+        if 0.0 < span < np.inf:  # a finite span: the plain formula, unhalved
+            assert got.tobytes() == ((col - col.min()) / span).tobytes()
+        order = np.argsort(col, kind="stable")
+        assert np.all(np.diff(got[order]) >= 0.0)
+        alone = normalize_minmax(Dataset(col[:, None], labels, ("c",))).features[:, 0]
+        assert got.tobytes() == alone.tobytes(), j
 
 
 # ---------------------------------------------------------------------------

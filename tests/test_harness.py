@@ -542,6 +542,15 @@ def test_cli_select_on_an_overlong_cell_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_select_on_an_ambiguous_label_column_exits_2(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("a,label,label\n1,A,A\n2,B,B\n3,A,A\n4,B,B\n", encoding="utf-8")
+    assert main(["select", "--data", str(data), "--label-col", "label", "--runs", "1",
+                 "--folds", "2", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: label column 'label' found 2 times in header\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_select_on_a_latin1_csv_exits_2(tmp_path, capsys):
     data = tmp_path / "latin1.csv"
     data.write_bytes(b"x,y,label\n1,2,A\n3,4,B\n5,6,caf\xe9\n7,8,B\n")
