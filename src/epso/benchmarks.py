@@ -128,7 +128,7 @@ def _block_sizes(parts, dim: int) -> list[int]:
     fits in it; otherwise the rounded split stands.
     """
     shares = [fraction * dim for _, fraction in parts]
-    least = [getattr(base, "least_dimension", 1) for base, _ in parts]
+    least = [base.least_dimension for base, _ in parts]
     sizes = [int(round(share)) for share in shares[:-1]]
     sizes.append(dim - sum(sizes))
     if any(s < n for s, n in zip(sizes, least)):

@@ -18,7 +18,8 @@ from pathlib import Path
 
 from .benchmarks import available_functions
 from .errors import ConfigError, ContractError, DataError, EvaluationError, UnknownFunctionError
-from .harness import build_config, emit_report, emit_traces, parse_config, run_experiment
+from .harness import (ALGORITHMS, build_config, emit_report, emit_traces, parse_config,
+                      run_experiment)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -31,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     # each dest is the config key the flag sets; a flag left out is None
     def add_common(p):
         p.add_argument("--runs", type=int, default=None, help="independent runs (default 30)")
-        p.add_argument("--algo", dest="algorithm", choices=["pso", "epso", "both"], default=None)
+        p.add_argument("--algo", dest="algorithm", choices=ALGORITHMS, default=None)
         p.add_argument("--seed", dest="base_seed", type=int, default=None,
                        help="base seed; run i uses seed+i")
         p.add_argument("--out", dest="out_dir", default=None,

@@ -143,8 +143,9 @@ class WrapperObjective:
     The folds are frozen when it is built, so it is a pure function of the
     position, and each distinct mask is scored once: a memo maps the exact
     packed mask (np.packbits(mask).tobytes()) to its value and its scoring
-    seconds. reused_seconds sums the recorded seconds of the values taken
-    from the memo. A position of any shape other than (F,) is a ContractError.
+    seconds. reused_seconds sums the recorded seconds of every value taken
+    from the memo, a run's repeats of its own masks included. A position of
+    any shape other than (F,) is a ContractError.
     """
 
     def __init__(self, d: Dataset, cfg: WrapperConfig, seed: int = 0):
@@ -192,8 +193,8 @@ def select_features(
 
     objective, if given, must be built for (d, wrapper_cfg, epso_config.seed);
     runs that share it score each mask once. wall_time charges the run the
-    objective's build and the recorded seconds of every value it took from
-    the memo, so it is the time the run takes alone.
+    objective's build and the recorded seconds of every memo hit, its own
+    repeats too: the time the run would take scoring every evaluation itself.
     """
     if epso_config.dimension != d.n_features:
         raise ConfigError(

@@ -17,13 +17,10 @@ from .benchmarks import registry
 from .datasets import complexity_index, load_csv, normalize_minmax
 from .errors import ConfigError, ContractError, check_field_types
 from .feature_selection import WrapperConfig, position_bounds, select_features
-from .swarm import EpsoConfig, RunResult, optimize
+from .swarm import MODES, EpsoConfig, RunResult, optimize
 
 TASKS = ("benchmark", "feature-selection")
-ALGORITHMS = ("pso", "epso", "both")
-
-BENCH_CSV_COLUMNS = ["function", "algorithm", "mean", "median", "std", "best", "worst"]
-SELECT_CSV_COLUMNS = ["dataset", "cfo", "algorithm", "features", "accuracy", "std", "time_sec"]
+ALGORITHMS = (*MODES, "both")
 
 
 @dataclass(frozen=True)
@@ -121,7 +118,7 @@ class ExperimentConfig:
                           **{**self.swarm, "m_max": m_max})
 
     def algorithms(self) -> list[str]:
-        return ["pso", "epso"] if self.algorithm == "both" else [self.algorithm]
+        return list(MODES) if self.algorithm == "both" else [self.algorithm]
 
 
 _EXPERIMENT_KEYS = {f.name for f in fields(ExperimentConfig)} - {"task", "swarm"}
@@ -244,7 +241,6 @@ def emit_report(report: ExperimentReport, out_dir) -> list[Path]:
     fresh report file without its partner."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    columns = BENCH_CSV_COLUMNS if report.task == "benchmark" else SELECT_CSV_COLUMNS
     payload = {
         "task": report.task,
         "config": report.config,
@@ -257,10 +253,10 @@ def emit_report(report: ExperimentReport, out_dir) -> list[Path]:
     try:
         with open(temps[0], "w", newline="", encoding="utf-8") as fh:
             made.append(temps[0])
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            for row in report.rows:
-                writer.writerow([row[c] for c in columns])
+            # the row builders give their keys in column order
+            writer = csv.DictWriter(fh, fieldnames=list(report.rows[0]))
+            writer.writeheader()
+            writer.writerows(report.rows)
         with open(temps[1], "w", encoding="utf-8") as fh:
             made.append(temps[1])
             json.dump(payload, fh, indent=2, sort_keys=True)

@@ -121,14 +121,10 @@ class EpsoConfig:
             raise ConfigError("seed must be a non-negative integer")
 
     @cached_property
-    def velocity_limit(self) -> np.ndarray:
-        """Per-dimension bound on |v|; computed once and read-only, as every step shares it."""
-        return self._clamps[1]
-
-    @cached_property
     def _clamps(self) -> tuple[np.ndarray, ...]:
-        """The rows -velocity_limit, velocity_limit, low and high, contiguous
-        and read-only, which step reads on every iteration."""
+        """The rows -limit, limit, low and high, contiguous and read-only,
+        which every step reads; limit = velocity_clamp_fraction * (high - low)
+        is the per-dimension bound on |v|."""
         low, high = self.bounds.T
         limit = self.velocity_clamp_fraction * (high - low)
         rows = np.array([-limit, limit, low, high])
@@ -303,8 +299,8 @@ def step(swarm: SwarmState, objective: Objective, config: EpsoConfig,
     mutates the m genes j holding its smallest keys (a uniform m-subset),
     v'_j = alpha*gbest_j + (1 - beta*v_j)*pbest_j, with its rows of alpha and
     beta, and its other coordinates keep their velocity. Velocities are
-    clamped to [-velocity_limit, velocity_limit], x' = x + v' is clamped into
-    the bounds, and all rows are re-evaluated and update their bests together.
+    clamped to [-limit, limit] (EpsoConfig._clamps), x' = x + v' into the
+    bounds, and all rows are re-evaluated and update their bests together.
     """
     n, d = config.population_size, config.dimension
     shapes = (swarm.positions.shape, swarm.velocities.shape, swarm.pbest_positions.shape,
@@ -322,22 +318,20 @@ def step(swarm: SwarmState, objective: Objective, config: EpsoConfig,
     t, x, v, pbest, gbest = (swarm.iteration, swarm.positions, swarm.velocities,
                              swarm.pbest_positions, swarm.gbest_position)
     g1, m = group1_size(t, config), mutation_gene_count(t, config)
-    if g1 < n:
-        r1, r2, keys = rng.random((3, n, d))
-        alpha, beta = rng.uniform(-1.0, 1.0, (2, n, m))
-    else:
-        r1, r2 = rng.random((2, n, d))
-        rng.bit_generator.advance(n * d + 2 * n * m)
-
+    r1, r2 = rng.random((2, n, d))
     new = (v * inertia_weight(t, config) + (config.c1 * r1) * (pbest - x)
            + (config.c2 * r2) * (gbest - x))
     if g1 < n:
+        keys = rng.random((n, d))
+        alpha, beta = rng.uniform(-1.0, 1.0, (2, n, m))
         _, group2 = assign_groups(swarm.pbest_fitness, g1)
         genes = np.sort(np.argpartition(keys[group2], m - 1)[:, :m])
         rows = group2[:, None]
         new[group2] = v[group2]
         new[rows, genes] = (alpha[group2] * gbest[genes]
                             + (1.0 - beta[group2] * v[rows, genes]) * pbest[rows, genes])
+    else:
+        rng.bit_generator.advance(n * d + 2 * n * m)
     # bound first: on a signed-zero tie numpy returns the second operand, the value
     neg_limit, limit, low, high = config._clamps
     np.maximum(neg_limit, new, out=new)

@@ -452,6 +452,10 @@ def test_wall_time_charges_the_scoring_seconds_of_memo_hits(monkeypatch):
     for mode in ("pso", "epso", "epso"):
         assert select_features(d, ec, cfg, mode=mode, objective=objective).wall_time == 6 * 9
     assert clock[0] < 2 * 6 * 9  # the second EPSO run, at least, scored nothing
+    # a lone run is charged its own repeated masks too
+    clock[0] = 0.0
+    assert select_features(d, ec, cfg, mode="epso").wall_time == 6 * 9
+    assert clock[0] < 6 * 9
 
 
 def test_select_features_refuses_an_objective_built_for_another_run():

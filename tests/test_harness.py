@@ -16,8 +16,6 @@ from epso import ConfigError, ContractError, UnknownFunctionError, summarize, sy
 from epso.benchmarks import available_functions
 from epso.datasets import save_csv
 from epso.harness import (
-    BENCH_CSV_COLUMNS,
-    SELECT_CSV_COLUMNS,
     SWARM_DEFAULTS,
     ExperimentConfig,
     build_config,
@@ -29,6 +27,10 @@ from epso.harness import (
 from epso import cli, feature_selection, harness
 from epso.cli import main
 from epso.swarm import EpsoConfig, RunResult, Trace, optimize
+
+# report.csv's header for each task, in order
+BENCH_CSV_COLUMNS = ["function", "algorithm", "mean", "median", "std", "best", "worst"]
+SELECT_CSV_COLUMNS = ["dataset", "cfo", "algorithm", "features", "accuracy", "std", "time_sec"]
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +169,7 @@ def test_selection_experiment_rows(tmp_path):
     report = run_experiment(select_cfg(tmp_path))
     assert len(report.rows) == 2
     for row in report.rows:
-        assert set(row) == set(SELECT_CSV_COLUMNS)
+        assert list(row) == SELECT_CSV_COLUMNS
         assert 0.0 <= row["accuracy"] <= 1.0
         assert 0 <= row["features"] <= 6
         assert row["cfo"] == round(2 * 6 / 24)

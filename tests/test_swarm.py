@@ -111,21 +111,28 @@ def test_inertia_endpoints_and_midpoint():
 # ---------------------------------------------------------------------------
 
 class Draws:
-    """Stands in for step's generator: hands out the given r1, r2 and keys
-    (r1 and r2 alone on a flat step), then alpha and beta, each broadcast to
-    its row block's shape. A flat step advances bit_generator, which no draw
-    here reads."""
+    """Stands in for step's generator: hands out r1 and r2, then keys, then
+    alpha and beta, in call order and whatever block shapes step asks for,
+    each broadcast to its row block's shape: a (k, P, D) block takes the
+    next k values, a (P, D) block the next one. A flat step advances
+    bit_generator, which no draw here reads."""
 
     def __init__(self, r1=0.0, r2=0.0, keys=0.0, alpha=0.0, beta=0.0):
-        self.unit, self.signed = (r1, r2, keys), (alpha, beta)
+        self.unit, self.signed = [r1, r2, keys], [alpha, beta]
         self.bit_generator = np.random.PCG64(0)
 
+    @staticmethod
+    def take(values, shape):
+        if len(shape) == 2:
+            return np.broadcast_to(values.pop(0), shape)
+        return np.stack([np.broadcast_to(values.pop(0), shape[1:]) for _ in range(shape[0])])
+
     def random(self, shape):
-        return np.stack([np.broadcast_to(b, shape[1:]) for b in self.unit[:shape[0]]])
+        return self.take(self.unit, shape)
 
     def uniform(self, low, high, shape):
         assert (low, high) == (-1.0, 1.0)
-        return np.stack([np.broadcast_to(b, shape[1:]) for b in self.signed])
+        return self.take(self.signed, shape)
 
 
 def step_from(cfg, x, v, pbest, gbest, draws):
@@ -449,12 +456,13 @@ def test_step_refuses_a_generator_that_is_not_pcg64(g_pini):
 
 def test_velocity_limit_is_computed_once_and_read_only():
     cfg = make_config()
-    assert cfg.velocity_limit is cfg.velocity_limit
-    assert np.array_equal(cfg.velocity_limit, [4.0, 4.0, 4.0])
-    with pytest.raises(ValueError, match="read-only"):
-        cfg.velocity_limit[0] = 1.0
-    assert np.array_equal(dataclasses.replace(cfg, velocity_clamp_fraction=0.5).velocity_limit,
-                          [10.0, 10.0, 10.0])
+    assert cfg._clamps is cfg._clamps
+    assert np.array_equal(cfg._clamps, [[-4.0] * 3, [4.0] * 3, [-10.0] * 3, [10.0] * 3])
+    for row in cfg._clamps:
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 1.0
+    assert np.array_equal(dataclasses.replace(cfg, velocity_clamp_fraction=0.5)._clamps,
+                          [[-10.0] * 3, [10.0] * 3, [-10.0] * 3, [10.0] * 3])
 
 
 @pytest.mark.parametrize("mode", [None, 1, "PSO"])
@@ -488,8 +496,8 @@ def test_optimize_trace_shape_and_monotonicity():
 def test_positions_and_velocities_stay_bounded(seed, mode):
     cfg = make_config(dimension=4, bounds=[[-3.0, 5.0]] * 4, population_size=10,
                       max_iterations=25, seed=seed, g_pini=0.9, g_pfine=0.4)
-    limit = cfg.velocity_limit
     lo, hi = cfg.bounds[:, 0], cfg.bounds[:, 1]
+    limit = cfg.velocity_clamp_fraction * (hi - lo)
     for swarm in run_steps(cfg, sphere, mode, np.random.default_rng(cfg.seed)):
         assert np.all(swarm.positions >= lo) and np.all(swarm.positions <= hi)
         assert np.all(np.abs(swarm.velocities) <= limit + 1e-12)
@@ -778,7 +786,8 @@ def run_steps(cfg, objective, mode, rng):
 @settings(max_examples=150, deadline=None)
 @given(configs(), st.sampled_from(["pso", "epso"]), st.floats(-2.0, 2.0))
 def test_property_rows_stay_in_bounds_and_gbest_is_best_pbest(cfg, mode, pull):
-    lo, hi, limit = cfg.bounds[:, 0], cfg.bounds[:, 1], cfg.velocity_limit
+    lo, hi = cfg.bounds[:, 0], cfg.bounds[:, 1]
+    limit = cfg.velocity_clamp_fraction * (hi - lo)
     rng = np.random.default_rng(cfg.seed)
     for swarm in run_steps(cfg, shifted_sphere(cfg, pull), mode, rng):
         shape = (cfg.population_size, cfg.dimension)
@@ -804,7 +813,7 @@ def reference_run(cfg, objective, mode):
     rng = np.random.default_rng(cfg.seed)
     n, d = cfg.population_size, cfg.dimension
     lo, hi = cfg.bounds[:, 0].tolist(), cfg.bounds[:, 1].tolist()
-    limit = cfg.velocity_limit.tolist()
+    limit = (cfg.velocity_clamp_fraction * (cfg.bounds[:, 1] - cfg.bounds[:, 0])).tolist()
 
     def clamp(value, low, high):
         return min(max(value, low), high)
